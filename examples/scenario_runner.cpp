@@ -35,9 +35,10 @@
 //                    edge (both directions) / one arc from round r on,
 //                    "corrupt:<e>@<r>" flips payloads crossing edge e in
 //                    exactly round r. Supported by bfs, batch-bfs,
-//                    leader-election, broadcast, convergecast, sssp; other
-//                    algorithms reject the flag. Ids are in the run graph's
-//                    id space (see ScenarioConfig::faults).
+//                    leader-election, broadcast, convergecast, sssp,
+//                    batch-sssp; mst and weighted-apsp reject a plan (exit
+//                    2). Ids are in the run graph's id space (see
+//                    ScenarioConfig).
 //   --stretch=<k>    weighted-apsp stretch parameter (default 3: 5-approx)
 //   --cache=<dir>    binary graph corpus + manifest: generate once, reload
 //   --cache-gc       garbage-collect --cache first: evict .fcg files the
@@ -234,22 +235,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!fault_plan.empty()) {
-    static const std::vector<std::string> faultable = {
-        "bfs", "batch-bfs", "leader-election", "broadcast", "convergecast",
-        "sssp"};
-    for (const auto& algo : algos) {
-      if (std::find(faultable.begin(), faultable.end(), algo) ==
-          faultable.end()) {
-        std::cerr << "scenario_runner: --fault is not supported by '" << algo
-                  << "' (composite multi-phase apps have no single fault "
-                     "clock); faultable: bfs batch-bfs leader-election "
-                     "broadcast convergecast sssp\n";
-        return 2;
-      }
-    }
-    cfg.faults = &fault_plan;
-  }
+  // Algorithms that cannot honour a plan reject it (std::invalid_argument,
+  // caught below: exit 2).
+  if (!fault_plan.empty()) cfg.faults = &fault_plan;
 
   std::vector<scenario::ScenarioResult> results;
   try {

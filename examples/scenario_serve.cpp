@@ -324,8 +324,8 @@ int main(int argc, char** argv) {
   sopts.flush_budget_ms =
       static_cast<std::uint64_t>(opts.get_int("flush-budget", 0));
   try {
-    sopts.telemetry = congest::parse_telemetry_mode(opts.get("telemetry",
-                                                             "off"));
+    sopts.telemetry_mode =
+        congest::parse_telemetry_mode(opts.get("telemetry", "off"));
   } catch (const std::exception& err) {
     std::cerr << "scenario_serve: " << err.what() << "\n";
     return 2;
@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
   const std::string metrics_out = opts.get("metrics-out", "");
   std::ofstream metrics_file;
   if (!metrics_out.empty()) {
-    if (sopts.telemetry == congest::TelemetryMode::kOff) {
+    if (sopts.telemetry_mode == congest::TelemetryMode::kOff) {
       std::cerr << "scenario_serve: --metrics-out needs --telemetry=rounds "
                    "or --telemetry=full\n";
       return 2;

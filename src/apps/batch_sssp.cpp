@@ -113,21 +113,9 @@ BatchSsspReport batch_sssp(const WeightedGraph& g,
                            const BatchSsspOptions& opts) {
   BatchSsspReport r;
   BatchBellmanFord alg(g, std::move(sources));
-  // Reuse the caller's warm engine only when it is bound to exactly this
-  // topology; run() resets per-run state, so reuse is bit-identical.
   std::optional<congest::Network> local;
-  congest::Network& net =
-      opts.network != nullptr && &opts.network->graph() == &g.graph()
-          ? *opts.network
-          : local.emplace(g.graph());
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.parallel = opts.parallel;
-  ropts.force_dense = opts.force_dense;
-  ropts.telemetry = opts.telemetry;
-  ropts.pool = opts.pool;
-  ropts.cancel = opts.cancel;
-  const auto cost = net.run(alg, ropts);
+  const auto cost =
+      congest::engine_for(g.graph(), opts.network, local).run(alg, opts);
   r.sources = alg.sources();
   const std::uint32_t k = alg.k();
   r.dist.reserve(k);

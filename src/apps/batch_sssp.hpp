@@ -80,24 +80,12 @@ class BatchBellmanFord : public congest::Algorithm {
   congest::QuiescenceDetector quiescence_;
 };
 
-struct BatchSsspOptions {
-  std::uint64_t max_rounds = 10'000'000;
-  bool parallel = true;
-  /// Run the legacy dense sweep instead of the event-driven engine (the
-  /// differential-test / baseline knob; results are bit-identical).
-  bool force_dense = false;
-  /// Telemetry recorder for the engine run (null = off). Each query's
-  /// launch is annotated "batch-sssp/gen=<s>", so the pipelined generations
-  /// show up as instant events in exported traces.
-  congest::Telemetry* telemetry = nullptr;
-  /// Thread pool for the engine rounds; null selects ThreadPool::global().
-  ThreadPool* pool = nullptr;
-  /// Warm engine to reuse; engaged only when bound to EXACTLY g.graph()
-  /// (the serve layer's pooled Network), otherwise a fresh engine is built.
+/// The engine knobs of the ONE batched run — a fault plan's ids are in
+/// g.graph()'s id space, and a telemetry recorder sees each query's launch
+/// annotated "batch-sssp/gen=<s>" — plus the warm engine to run it on.
+struct BatchSsspOptions : congest::RunOptions {
+  /// Warm engine to reuse under congest::engine_for's rule.
   congest::Network* network = nullptr;
-  /// Cooperative cancellation/deadline token for the engine run (null =
-  /// never cancels). See congest/cancel.hpp.
-  const congest::CancelToken* cancel = nullptr;
 };
 
 /// Per-query outcome plus the shared engine costs of the one batched run.
@@ -112,7 +100,7 @@ struct BatchSsspReport {
   std::uint64_t messages = 0;
   std::vector<std::uint64_t> arc_sends;
   bool finished = false;
-  /// The run was truncated by an expired BatchSsspOptions::cancel token;
+  /// The run was truncated by an expired cancel token;
   /// per-query distances are a valid partial relaxation, not the fixpoint.
   bool cancelled = false;
 

@@ -100,7 +100,7 @@ Clustering build_clustering(const Graph& g, std::uint32_t min_degree,
 
   congest::Network net(g);
   ClusterProtocol proto(g, is_center);
-  const auto res = net.run(proto, opts.engine);
+  const auto res = net.run(proto, opts);
 
   Clustering out;
   out.rounds = res.rounds;

@@ -35,12 +35,10 @@ struct Clustering {
   }
 };
 
-struct ClusteringOptions {
+/// The engine knobs of the protocol run, plus the sampling parameters.
+struct ClusteringOptions : congest::RunOptions {
   double c = 3.0;  // the sampling constant in p = c ln n / δ
   std::uint64_t seed = 1;
-  /// Engine knobs for the protocol run (force_dense, pool, ...): lets the
-  /// dense-vs-sparse differential tests drive the real entry point.
-  congest::RunOptions engine;
 };
 
 /// Build the clustering with real CONGEST rounds for the announcement and

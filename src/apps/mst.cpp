@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
 #include <utility>
 
 #include "algo/convergecast.hpp"
@@ -270,6 +271,10 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
   const Graph& graph = g.graph();
   const NodeId n = graph.node_count();
   const bool echo = opts.merge == MstMerge::kConvergecast;
+  if (opts.faults != nullptr && !opts.faults->empty())
+    throw std::invalid_argument(
+        "mst: fault plans are not supported (the Boruvka phases are "
+        "separate engine runs with no single fault clock)");
   MstReport r;
   r.finished = true;
   if (n == 0) return r;  // no node ever steps, so no phase would terminate
@@ -282,13 +287,6 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
   // kConvergecast mode silences them; the flood baseline keeps the original
   // keep-announcing behaviour for a faithful comparison.
   std::vector<std::uint8_t> complete(n, 0);
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.parallel = opts.parallel;
-  ropts.force_dense = opts.force_dense;
-  ropts.telemetry = opts.telemetry;
-  ropts.pool = opts.pool;
-  ropts.cancel = opts.cancel;
   // ONE engine serves every phase execution: run() fully resets per-run
   // state, so this is bit-identical to the former per-phase Networks and
   // drops their repeated adjacency-sized allocations.
@@ -301,7 +299,7 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
     AnnouncePhase announce(g, r.fragment, complete,
                            "mst/phase=" + std::to_string(r.phases + 1));
     {
-      const auto cost = net.run(announce, ropts);
+      const auto cost = net.run(announce, opts);
       accumulate(r, cost);
       r.announce_messages += cost.messages;
     }
@@ -323,7 +321,7 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
         vals[v] = {static_cast<std::uint64_t>(local[v].first),
                    local[v].second};
       algo::ForestEcho agg(graph, tree_arc, std::move(vals), &complete);
-      const auto cost = net.run(agg, ropts);
+      const auto cost = net.run(agg, opts);
       accumulate(r, cost);
       r.merge_messages += cost.messages;
       for (NodeId v = 0; v < n; ++v)
@@ -331,7 +329,7 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
                    static_cast<EdgeId>(agg.result(v).second)};
     } else {
       MoeFloodPhase agg(tree_arc, local);
-      const auto cost = net.run(agg, ropts);
+      const auto cost = net.run(agg, opts);
       accumulate(r, cost);
       r.merge_messages += cost.messages;
       for (NodeId v = 0; v < n; ++v) best[v] = agg.best(v);
@@ -357,21 +355,21 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
         if (best[v] == kNoMoe) complete[v] = 1;
       ConnectPhase connect(r.fragment, winner_arc, tree_arc);
       {
-        const auto cost = net.run(connect, ropts);
+        const auto cost = net.run(connect, opts);
         accumulate(r, cost);
         r.merge_messages += cost.messages;
       }
       std::vector<algo::EchoValue> vals(n);
       for (NodeId v = 0; v < n; ++v) vals[v] = {r.fragment[v], 0};
       algo::ForestEcho naming(graph, tree_arc, std::move(vals), &complete);
-      const auto cost = net.run(naming, ropts);
+      const auto cost = net.run(naming, opts);
       accumulate(r, cost);
       r.merge_messages += cost.messages;
       for (NodeId v = 0; v < n; ++v)
         r.fragment[v] = static_cast<NodeId>(naming.result(v).first);
     } else {
       MergeFloodPhase merge(r.fragment, winner_arc, tree_arc);
-      const auto cost = net.run(merge, ropts);
+      const auto cost = net.run(merge, opts);
       accumulate(r, cost);
       r.merge_messages += cost.messages;
       r.fragment = merge.take_fragments();

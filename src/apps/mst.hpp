@@ -50,13 +50,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "congest/cancel.hpp"
-#include "congest/metrics.hpp"
+#include "congest/network.hpp"
 #include "graph/weighted_graph.hpp"
-
-namespace fc {
-class ThreadPool;
-}
 
 namespace fc::apps {
 
@@ -66,26 +61,14 @@ namespace fc::apps {
 /// labels — only the cost profile differs.
 enum class MstMerge { kConvergecast, kFlood };
 
-struct MstOptions {
-  /// Cap per engine execution (each phase runs several).
-  std::uint64_t max_rounds = 10'000'000;
-  bool parallel = true;
+/// The engine knobs apply to every phase execution: max_rounds caps each
+/// one; a telemetry recorder sees each run as a named span ("mst/announce",
+/// "mst/connect", ...) with fragment leaders annotating "mst/phase=<p>";
+/// a cancelled phase stops the Borůvka loop with the forest built so far.
+/// A non-empty fault plan is rejected (std::invalid_argument): the phases
+/// are separate engine runs, so there is no single fault clock.
+struct MstOptions : congest::RunOptions {
   MstMerge merge = MstMerge::kConvergecast;
-  /// Run every phase with the legacy dense sweep instead of the
-  /// event-driven engine (differential-test / baseline knob).
-  bool force_dense = false;
-  /// Shared telemetry recorder threaded through every phase execution
-  /// (null = off). Each engine run becomes a named span ("mst/announce",
-  /// "mst/connect", ...) and fragment leaders annotate "mst/phase=<p>" at
-  /// each announce, so Borůvka phases are visible in exported traces.
-  congest::Telemetry* telemetry = nullptr;
-  /// Thread pool for every phase's engine rounds; null selects
-  /// ThreadPool::global().
-  ThreadPool* pool = nullptr;
-  /// Cooperative cancellation/deadline token, threaded through every phase
-  /// execution (null = never cancels). A cancelled phase stops the Borůvka
-  /// loop; the report carries the forest built so far. congest/cancel.hpp.
-  const congest::CancelToken* cancel = nullptr;
 };
 
 struct MstReport {
@@ -106,8 +89,8 @@ struct MstReport {
   /// Per-arc sends summed over every phase (whole-execution congestion).
   std::vector<std::uint64_t> arc_sends;
   bool finished = false;
-  /// Some phase execution was truncated by an expired MstOptions::cancel
-  /// token; tree_edges hold the merges committed before the cut.
+  /// Some phase execution was truncated by an expired cancel token;
+  /// tree_edges hold the merges committed before the cut.
   bool cancelled = false;
   /// Final fragment id per node: the minimum NodeId of its component.
   std::vector<NodeId> fragment;
@@ -120,7 +103,8 @@ struct MstReport {
 /// Run distributed Borůvka on `g` (connected or not; weights nonnegative by
 /// WeightedGraph's invariant). Deterministic: the report is bit-identical
 /// for every thread count, and the forest is bit-identical across both
-/// MstMerge modes.
+/// MstMerge modes. Throws std::invalid_argument for a non-empty
+/// opts.faults, before any engine run.
 MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts = {});
 
 }  // namespace fc::apps

@@ -61,22 +61,9 @@ SsspReport distributed_sssp(const WeightedGraph& g, NodeId source,
                             const SsspOptions& opts) {
   SsspReport r;
   DistributedBellmanFord alg(g, source);
-  // Reuse the caller's warm engine only when it is bound to exactly this
-  // topology; run() resets per-run state, so reuse is bit-identical.
   std::optional<congest::Network> local;
-  congest::Network& net =
-      opts.network != nullptr && &opts.network->graph() == &g.graph()
-          ? *opts.network
-          : local.emplace(g.graph());
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.parallel = opts.parallel;
-  ropts.force_dense = opts.force_dense;
-  ropts.telemetry = opts.telemetry;
-  ropts.pool = opts.pool;
-  ropts.faults = opts.faults;
-  ropts.cancel = opts.cancel;
-  const auto cost = net.run(alg, ropts);
+  const auto cost =
+      congest::engine_for(g.graph(), opts.network, local).run(alg, opts);
   r.dist = alg.distances();
   r.parent_arc.assign(g.graph().node_count(), kInvalidArc);
   for (NodeId v = 0; v < g.graph().node_count(); ++v)

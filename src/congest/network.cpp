@@ -69,7 +69,7 @@ void Network::do_send(Context& ctx, ArcId via, const Message& m) {
     slot_msg_[w] = m;
   }
   ctx.recv_->push_back(g.arc_head(at));
-  if (counting_) ++arc_sends_[at];
+  ++arc_sends_[at];
 }
 
 void Network::apply_faults(std::uint64_t round) {
@@ -117,7 +117,7 @@ void Network::apply_faults(std::uint64_t round) {
 
 std::uint64_t Network::run_handlers(Algorithm& alg, std::uint64_t round,
                                     Sweep sweep, bool record_wakeups,
-                                    ThreadPool& pool, bool parallel) {
+                                    ThreadPool& pool) {
   const Graph& g = *graph_;
   const std::size_t read_off = arcs_ - write_off_;
   const std::size_t count = sweep == Sweep::kActiveList
@@ -175,7 +175,7 @@ std::uint64_t Network::run_handlers(Algorithm& alg, std::uint64_t round,
     }
     if (count_stepped) tele_->add_active(worker, stepped);
   };
-  if (parallel && count >= 512)
+  if (count >= 512)
     pool.parallel_chunks(count, body);
   else if (count > 0)
     body(0, 0, count);
@@ -184,16 +184,19 @@ std::uint64_t Network::run_handlers(Algorithm& alg, std::uint64_t round,
                                      : std::uint64_t{count};
 }
 
+Network& engine_for(const Graph& g, Network* warm,
+                    std::optional<Network>& local) {
+  if (warm != nullptr && &warm->graph() == &g) return *warm;
+  if (!local) local.emplace(g);
+  return *local;
+}
+
 RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
   const Graph& g = *graph_;
   const NodeId n = g.node_count();
   ++runs_started_;
-  counting_ = opts.count_sends;
   messages_ = 0;
-  if (counting_)
-    arc_sends_.assign(arcs_, 0);  // also recovers the moved-from state
-  else
-    arc_sends_.clear();
+  arc_sends_.assign(arcs_, 0);  // also recovers the moved-from state
   std::fill(slot_full_.begin(), slot_full_.end(), 0);
   write_off_ = 0;
   sched_stamp_.assign(n, 0);
@@ -230,10 +233,9 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
   thread_wakeup_.assign(workers, {});
   inbox_scratch_.assign(workers, {});
 
-  // Telemetry: the caller's recorder wins; an algorithm-carried one (e.g.
-  // TraceRecorder's) is the fallback. kRounds records counters only — no
-  // clock reads inside the loop; kFull adds the three phase timers.
-  tele_ = opts.telemetry != nullptr ? opts.telemetry : alg.telemetry();
+  // Telemetry: kRounds records counters only — no clock reads inside the
+  // loop; kFull adds the three phase timers.
+  tele_ = opts.telemetry;
   if (tele_ != nullptr && !tele_->enabled()) tele_ = nullptr;
   const bool timing = tele_ != nullptr && tele_->full();
   if (tele_ != nullptr) tele_->begin_run(alg.name(), workers);
@@ -275,7 +277,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     const Sweep sweep = sparse && round > 0 ? sweep_next : Sweep::kAll;
     const std::uint64_t t0 = timing ? Telemetry::now_ns() : 0;
     const std::uint64_t active =
-        run_handlers(alg, round, sweep, record_wakeups, pool, opts.parallel);
+        run_handlers(alg, round, sweep, record_wakeups, pool);
     const std::uint64_t t1 = timing ? Telemetry::now_ns() : 0;
 
     // Delivery — O(messages + wakeups), no copies: stamp each receiver
@@ -316,8 +318,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
         }
         list.clear();
       }
-    } else if (opts.parallel && workers > 1 &&
-               sent >= opts.parallel_stamp_threshold) {
+    } else if (workers > 1 && sent >= opts.parallel_stamp_threshold) {
       // Parallel stamp: pool workers split the per-worker receiver lists.
       // Every writer of one stamp writes the same value `next`, so relaxed
       // atomic stores are enough; when telemetry wants the unique-receiver
@@ -411,7 +412,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     result.fault_dropped = fault_dropped_.load(std::memory_order_relaxed);
     result.fault_corrupted = fault_corrupted_.load(std::memory_order_relaxed);
   }
-  if (counting_) result.arc_sends = std::move(arc_sends_);
+  result.arc_sends = std::move(arc_sends_);
   if (tele_ != nullptr) {
     if (!timing) tele_->commit_counters(cursor);
     result.telemetry =

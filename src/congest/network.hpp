@@ -35,15 +35,23 @@
 //    so a round costs O(sum of active nodes' degrees), not O(n + m).
 //    Legacy algorithms (event_driven() == false) keep the dense sweep —
 //    step() on all n nodes — with the same zero-copy delivery.
-//  * Handlers run in parallel on a thread pool once enough nodes are
-//    active; each handler writes only its own node's state and its own
-//    outgoing slots, and each slot has exactly one consumer, so rounds are
-//    data-race-free by construction and bit-identical at every thread
-//    count — sparse or dense.
+//  * Handlers run in parallel on a thread pool (RunOptions::pool; a
+//    1-thread pool is the serial run) once enough nodes are active; each
+//    handler writes only its own node's state and its own outgoing slots,
+//    and each slot has exactly one consumer, so rounds are data-race-free
+//    by construction and bit-identical at every thread count — sparse or
+//    dense.
+//
+// Knobs: RunOptions below is the only declaration of an engine knob. The
+// option structs of every layer above (apps, core, dynamic, scenario)
+// derive from it and hand themselves to run() unchanged, so a knob cannot
+// be dropped on the way down; a layer that cannot honour one (a fault plan
+// across a multi-phase app) rejects it with std::invalid_argument.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -165,25 +173,21 @@ class Algorithm {
   /// Called once per round, single-threaded, before any handler of that
   /// round (round 0 included), under BOTH engines.
   virtual void round_started(std::uint64_t round) { (void)round; }
-
-  /// An algorithm may carry its own telemetry recorder (TraceRecorder
-  /// does); the engine attaches it when the caller supplied none in
-  /// RunOptions::telemetry (an explicit RunOptions recorder wins — one
-  /// recorder per run). Return nullptr (the default) to opt out.
-  virtual Telemetry* telemetry() { return nullptr; }
 };
 
+/// The engine knobs, declared here and nowhere else: every option struct
+/// above the engine (apps, core, dynamic, scenario) derives from this one
+/// and passes itself straight to run(), so a knob added here reaches every
+/// layer without forwarding code.
 struct RunOptions {
-  std::uint64_t max_rounds = 1'000'000;
-  /// Run node handlers in parallel when enough nodes are active.
-  bool parallel = true;
-  /// Collect per-arc send counts (cheap; on by default).
-  bool count_sends = true;
+  /// Round cap per run(); a run that hits it reports finished == false.
+  std::uint64_t max_rounds = 10'000'000;
   /// Force the legacy dense sweep (step every node every round) even for
   /// event_driven() algorithms — the differential-test and baseline knob.
   bool force_dense = false;
   /// Pool for the handler rounds; null selects ThreadPool::global(). The
-  /// run is bit-identical for every pool size by construction.
+  /// run is bit-identical for every pool size by construction; a 1-thread
+  /// pool runs every handler and the delivery pass on the calling thread.
   ThreadPool* pool = nullptr;
   /// Delivery goes parallel once a round sends at least this many messages:
   /// below it the serial stamp loop wins (no pool dispatch), above it the
@@ -195,11 +199,13 @@ struct RunOptions {
   /// way; the knob exists for benchmarks (SIZE_MAX = measure the serial
   /// pass) and tests (small = force the parallel pass on tiny graphs).
   std::size_t parallel_stamp_threshold = 4096;
-  /// Telemetry recorder (null or kOff = record nothing, the hot paths keep
-  /// a single null-check). The recorder may be shared across several run()
-  /// calls to build one multi-span trace; the run's own slice also lands in
-  /// RunResult::telemetry. Recording never changes the execution: rounds,
-  /// messages, and per-arc sends are bit-identical in every mode.
+  /// Telemetry recorder — the one way to attach one (null or kOff = record
+  /// nothing, the hot paths keep a single null-check). The recorder may be
+  /// shared across several run() calls to build one multi-span trace; the
+  /// run's own slice also lands in RunResult::telemetry, and
+  /// Telemetry::series() reads the per-round curve back. Recording never
+  /// changes the execution: rounds, messages, and per-arc sends are
+  /// bit-identical in every mode.
   Telemetry* telemetry = nullptr;
   /// Mid-run fault injection (null = fault-free; the hot paths then keep a
   /// single bool check). Faults fire at fixed rounds against fixed ids, so
@@ -245,8 +251,7 @@ class Network {
   /// (0 otherwise): free for kAll/kActiveList, where every swept node runs,
   /// counted per worker only under the kActiveScan filter.
   std::uint64_t run_handlers(Algorithm& alg, std::uint64_t round, Sweep sweep,
-                             bool record_wakeups, ThreadPool& pool,
-                             bool parallel);
+                             bool record_wakeups, ThreadPool& pool);
 
   const Graph* graph_;
   ArcId arcs_ = 0;
@@ -283,11 +288,16 @@ class Network {
   std::atomic<std::uint64_t> fault_corrupted_{0};
   std::uint64_t messages_ = 0;
   std::uint64_t runs_started_ = 0;
-  bool counting_ = true;
   // Attached telemetry recorder for the current run (null = off). Valid
-  // only inside run(); resolved from RunOptions::telemetry with
-  // Algorithm::telemetry() as the fallback.
+  // only inside run(); RunOptions::telemetry when enabled.
   Telemetry* tele_ = nullptr;
 };
+
+/// The warm-engine rule: reuse `warm` only when it is bound to exactly `g`
+/// (the same Graph object, e.g. the serve layer's pooled engine) — run()
+/// resets all per-run state, so reuse is bit-identical — and otherwise
+/// construct a fresh engine for `g` in `local`.
+Network& engine_for(const Graph& g, Network* warm,
+                    std::optional<Network>& local);
 
 }  // namespace fc::congest

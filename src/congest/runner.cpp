@@ -139,6 +139,7 @@ CompositeResult run_sequential(const Graph& parent,
     out.fault_dropped += res.fault_dropped;
     out.fault_corrupted += res.fault_corrupted;
     out.finished = out.finished && res.finished;
+    out.cancelled = out.cancelled || res.cancelled;
     const Graph& sub = inst.part->graph;
     for (EdgeId e = 0; e < sub.edge_count(); ++e)
       out.parent_edge_congestion[inst.part->parent_edge[e]] +=
@@ -213,6 +214,7 @@ CompositeResult run_interleaved(const Graph& parent,
   out.fault_dropped = ures.fault_dropped;
   out.fault_corrupted = ures.fault_corrupted;
   out.finished = ures.finished;
+  out.cancelled = ures.cancelled;
   out.parent_edge_congestion.assign(parent.edge_count(), 0);
   out.per_instance.reserve(work.size());
   for (std::size_t i = 0; i < work.size(); ++i) {
@@ -221,11 +223,10 @@ CompositeResult run_interleaved(const Graph& parent,
     RunResult res;
     res.rounds = comp.instance_rounds(i, ures.rounds);
     res.finished = comp.instance_finished(i);
-    if (!ures.arc_sends.empty()) {
-      res.arc_sends.assign(ures.arc_sends.begin() + abase,
-                           ures.arc_sends.begin() + abase + sub.arc_count());
-      for (const std::uint64_t s : res.arc_sends) res.messages += s;
-    }
+    res.cancelled = ures.cancelled && !res.finished;
+    res.arc_sends.assign(ures.arc_sends.begin() + abase,
+                         ures.arc_sends.begin() + abase + sub.arc_count());
+    for (const std::uint64_t s : res.arc_sends) res.messages += s;
     for (EdgeId e = 0; e < sub.edge_count(); ++e)
       out.parent_edge_congestion[work[i].part->parent_edge[e]] +=
           res.edge_congestion(sub, e);

@@ -23,10 +23,12 @@
 // (they run concurrently), messages = sum, and per-parent-edge congestion
 // is folded back through the subgraphs' parent_edge maps.
 //
+// The composite takes the caller's RunOptions whole: pool, force_dense,
+// telemetry, max_rounds and cancel apply to every instance (the one union
+// run, or each sequential run). A cancelled composite reports
+// CompositeResult::cancelled.
+//
 // kInterleaved caveats (documented asymmetries, not accounting bugs):
-//  * per_instance[i].messages and arc_sends are sliced out of the union
-//    run's per-arc counts, so they need RunOptions::count_sends (the
-//    default); with counting off only the composite totals are reported.
 //  * per_instance[i].undelivered is 0 — in-flight sends of the union run's
 //    final round are not split per instance.
 //  * a telemetry recorder sees ONE span for the whole composite instead of
@@ -61,6 +63,8 @@ struct CompositeResult {
   std::uint64_t rounds = 0;    // max over instances
   std::uint64_t messages = 0;  // sum over instances
   bool finished = false;       // all instances finished
+  /// The run was cut by an expired RunOptions::cancel token.
+  bool cancelled = false;
   std::vector<RunResult> per_instance;
   /// Fault totals summed over instances (see the header note: interleaved
   /// mode reports them only here, not per instance).

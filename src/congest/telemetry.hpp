@@ -127,7 +127,7 @@ HistogramSummary summarize_buckets(std::span<const std::uint64_t> buckets);
 /// kFull only — the kRounds cost contract rules out the per-run sorting
 /// and histogram merging behind them. `arc_congestion` summarizes total
 /// per-arc sends (all runs accumulated — the distribution behind
-/// max_arc_congestion); it is empty for runs with count_sends off.
+/// max_arc_congestion).
 /// `inbox_sizes` summarizes the NON-EMPTY inbox sizes over every
 /// (node, round) delivery. The per-run snapshot an engine returns in
 /// RunResult::telemetry carries `series` in kFull only (kRounds keeps the
@@ -146,9 +146,8 @@ struct TelemetrySnapshot {
 };
 
 /// The recorder. Callers own it and pass it to the engine via
-/// RunOptions::telemetry (or let an Algorithm carry one — see
-/// Algorithm::telemetry()); the engine-facing hooks below are called by
-/// Network::run only.
+/// RunOptions::telemetry — the only way to attach one; the engine-facing
+/// hooks below are called by Network::run only.
 class Telemetry {
   /// kRounds storage: the counters that must be stored per round and
   /// nothing derivable, packed into two u64 words so the hot append is two

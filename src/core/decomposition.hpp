@@ -22,11 +22,12 @@
 
 namespace fc::core {
 
-struct DecompositionOptions {
+/// The engine knobs of the per-part BFS composite, plus the decomposition's
+/// own parameters.
+struct DecompositionOptions : congest::RunOptions {
   double C = 2.0;            // the constant of Theorem 2
   std::uint64_t seed = 1;    // shared randomness
   NodeId root = 0;           // BFS root used by the validity check
-  std::uint64_t max_rounds = 10'000'000;
 };
 
 struct Decomposition {
@@ -38,6 +39,9 @@ struct Decomposition {
   /// edge-disjoint) plus the vote convergecast (2 * parent BFS depth).
   std::uint64_t check_rounds = 0;
   std::uint64_t messages = 0;
+  /// The per-part BFS was cut by an expired cancel token: the trees are
+  /// truncated, so `spanning` says nothing about the decomposition.
+  bool cancelled = false;
 
   bool all_spanning() const;
   /// Max BFS-tree depth among spanning parts; depth d implies the part's

@@ -40,35 +40,49 @@ double theorem3_lower_bound(std::uint64_t k, std::uint32_t lambda) {
 
 namespace {
 
+/// Close a report: total rounds are the phase sums.
+FastBroadcastReport finish(FastBroadcastReport r) {
+  r.total_rounds = r.setup_rounds + r.search_rounds + r.part_bfs_rounds +
+                   r.broadcast_rounds;
+  return r;
+}
+
 /// Phase 1: leader election (optional), BFS on G, Lemma 3 numbering.
-/// Returns the renumbered messages (ids remapped to [0, k)) and the rounds.
+/// Returns the root and the renumbered messages (ids remapped to [0, k));
+/// charges the rounds and messages to `report.setup_rounds` /
+/// `report.messages`, and stops at the first cancelled run
+/// (`report.cancelled`, nothing numbered). Rejects a fault plan first:
+/// every entry point starts here.
 struct SetupResult {
   NodeId root = 0;
   std::vector<algo::PlacedMessage> numbered;
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
 };
 
 SetupResult setup_phase(const Graph& g,
                         std::span<const algo::PlacedMessage> messages,
-                        const FastBroadcastOptions& opts) {
+                        const FastBroadcastOptions& opts,
+                        FastBroadcastReport& report) {
+  if (opts.faults != nullptr && !opts.faults->empty())
+    throw std::invalid_argument(
+        "fast_broadcast: fault plans are not supported (the phases are "
+        "separate engine runs with no single fault clock)");
   SetupResult out;
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.force_dense = opts.force_dense;
+  const auto add = [&report](const congest::RunResult& res) {
+    report.setup_rounds += res.rounds;
+    report.messages += res.messages;
+    report.cancelled = res.cancelled;
+    return !res.cancelled;
+  };
 
   if (opts.elect_leader) {
     congest::Network net(g);
     algo::LeaderElection le(g);
-    const auto res = net.run(le, ropts);
-    out.rounds += res.rounds;
-    out.messages += res.messages;
+    if (!add(net.run(le, opts))) return out;
     out.root = le.leader();
   }
 
-  auto bfs = algo::run_bfs(g, out.root, ropts);
-  out.rounds += bfs.cost.rounds;
-  out.messages += bfs.cost.messages;
+  auto bfs = algo::run_bfs(g, out.root, opts);
+  if (!add(bfs.cost)) return out;
   if (bfs.tree.covered != g.node_count())
     throw std::invalid_argument("fast_broadcast: graph is disconnected");
 
@@ -77,9 +91,7 @@ SetupResult setup_phase(const Graph& g,
   for (const auto& m : messages) ++counts[m.origin];
   congest::Network net(g);
   algo::IdAssignment ids(g, bfs.tree, counts);
-  const auto res = net.run(ids, ropts);
-  out.rounds += res.rounds;
-  out.messages += res.messages;
+  if (!add(net.run(ids, opts))) return out;
 
   // Renumber each node's messages consecutively from its assigned range.
   std::vector<std::uint64_t> next(g.node_count());
@@ -92,7 +104,8 @@ SetupResult setup_phase(const Graph& g,
 
 /// Phases 3+4 for a fixed part count: concurrent per-part BFS, then
 /// concurrent per-part pipelined broadcast. Fills the report's phase
-/// fields; returns false when some part failed to span.
+/// fields; returns false when some part failed to span (a cancelled run
+/// returns true with report.cancelled set — there is nothing to retry).
 bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
                           std::uint64_t seed,
                           const std::vector<algo::PlacedMessage>& numbered,
@@ -101,10 +114,6 @@ bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
   const std::uint64_t k = numbered.size();
   EdgePartition partition = random_edge_partition(g, parts, seed);
 
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.force_dense = opts.force_dense;
-
   // Concurrent BFS per part.
   std::vector<std::unique_ptr<algo::DistributedBfs>> bfs_algs;
   std::vector<congest::EdgeDisjointInstance> bfs_work;
@@ -112,9 +121,11 @@ bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
     bfs_algs.push_back(std::make_unique<algo::DistributedBfs>(part.graph, root));
     bfs_work.push_back({&part, bfs_algs.back().get()});
   }
-  const auto bfs_res = congest::run_edge_disjoint(g, bfs_work, ropts);
+  const auto bfs_res = congest::run_edge_disjoint(g, bfs_work, opts);
   report.part_bfs_rounds = bfs_res.rounds;
   report.messages += bfs_res.messages;
+  report.cancelled = bfs_res.cancelled;
+  if (report.cancelled) return true;
 
   std::vector<algo::SpanningTree> trees;
   trees.reserve(parts);
@@ -140,9 +151,10 @@ bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
         partition.parts[i].graph, trees[i], assigned[i]));
     bc_work.push_back({&partition.parts[i], bc_algs.back().get()});
   }
-  const auto bc_res = congest::run_edge_disjoint(g, bc_work, ropts);
+  const auto bc_res = congest::run_edge_disjoint(g, bc_work, opts);
   report.broadcast_rounds = bc_res.rounds;
   report.messages += bc_res.messages;
+  report.cancelled = bc_res.cancelled;
   report.max_edge_congestion = std::max(bfs_res.max_parent_edge_congestion(),
                                         bc_res.max_parent_edge_congestion());
 
@@ -173,9 +185,8 @@ FastBroadcastReport run_fast_broadcast(
   report.k = messages.size();
   report.lambda_used = lambda;
 
-  const SetupResult setup = setup_phase(g, messages, opts);
-  report.setup_rounds = setup.rounds;
-  report.messages = setup.messages;
+  const SetupResult setup = setup_phase(g, messages, opts, report);
+  if (report.cancelled) return finish(report);
 
   const std::uint32_t parts = theorem2_part_count(lambda, g.node_count(), opts.C);
   report.parts = parts;
@@ -186,9 +197,7 @@ FastBroadcastReport run_fast_broadcast(
     if (broadcast_over_parts(g, setup.root, parts, seed, setup.numbered, opts,
                              trial)) {
       trial.retries = attempt;
-      trial.total_rounds = trial.setup_rounds + trial.part_bfs_rounds +
-                           trial.broadcast_rounds + trial.search_rounds;
-      return trial;
+      return finish(trial);
     }
     // A part failed to span (probability n^{-Ω(C)}): recolour and retry.
     // The retry costs another concurrent-BFS sweep, which we account.
@@ -207,9 +216,8 @@ FastBroadcastReport run_fast_broadcast_oblivious(
   FastBroadcastReport report;
   report.k = messages.size();
 
-  const SetupResult setup = setup_phase(g, messages, opts);
-  report.setup_rounds = setup.rounds;
-  report.messages = setup.messages;
+  const SetupResult setup = setup_phase(g, messages, opts, report);
+  if (report.cancelled) return finish(report);
 
   // Lemma 4 (δ only): one convergecast over the parent BFS tree.
   const auto learned = algo::learn_parameters(g, setup.root);
@@ -223,15 +231,16 @@ FastBroadcastReport run_fast_broadcast_oblivious(
       Decomposition::diameter_budget(g.node_count(), delta, opts.C);
   std::uint32_t lambda_tilde = std::max<std::uint32_t>(delta, 1);
   for (std::uint32_t iter = 0;; ++iter) {
-    DecompositionOptions dopts;
+    DecompositionOptions dopts{opts};
     dopts.C = opts.C;
     dopts.seed = mix64(opts.seed, iter, 0x6f626c7376ULL);
     dopts.root = setup.root;
-    dopts.max_rounds = opts.max_rounds;
     const Decomposition dec = decompose(g, lambda_tilde, dopts);
     report.search_rounds += dec.check_rounds;
     report.messages += dec.messages;
     ++report.search_iterations;
+    report.cancelled = dec.cancelled;
+    if (report.cancelled) return finish(report);
 
     const bool valid =
         dec.all_spanning() &&
@@ -244,9 +253,7 @@ FastBroadcastReport run_fast_broadcast_oblivious(
         throw std::runtime_error(
             "fast_broadcast_oblivious: validated decomposition failed on "
             "re-run");
-      report.total_rounds = report.setup_rounds + report.search_rounds +
-                            report.part_bfs_rounds + report.broadcast_rounds;
-      return report;
+      return finish(report);
     }
     if (lambda_tilde == 1)
       throw std::runtime_error(
@@ -264,31 +271,28 @@ FastBroadcastReport run_textbook_broadcast(
   report.parts = 1;
   report.lambda_used = 1;
 
-  const SetupResult setup = setup_phase(g, messages, opts);
-  report.setup_rounds = setup.rounds;
-  report.messages = setup.messages;
+  const SetupResult setup = setup_phase(g, messages, opts, report);
+  if (report.cancelled) return finish(report);
 
-  congest::RunOptions ropts;
-  ropts.max_rounds = opts.max_rounds;
-  ropts.force_dense = opts.force_dense;
-  auto bfs = algo::run_bfs(g, setup.root, ropts);
+  auto bfs = algo::run_bfs(g, setup.root, opts);
   report.part_bfs_rounds = bfs.cost.rounds;
   report.messages += bfs.cost.messages;
+  report.cancelled = bfs.cost.cancelled;
+  if (report.cancelled) return finish(report);
 
   congest::Network net(g);
   algo::PipelineBroadcast alg(g, bfs.tree, setup.numbered);
-  const auto res = net.run(alg, ropts);
+  const auto res = net.run(alg, opts);
   report.broadcast_rounds = res.rounds;
   report.messages += res.messages;
   report.max_edge_congestion = res.max_edge_congestion(g);
+  report.cancelled = res.cancelled;
   report.complete = res.finished;
   for (NodeId v = 0; v < g.node_count() && report.complete; ++v)
     if (alg.received_count(v) != alg.k() ||
         alg.digest(v) != alg.expected_digest())
       report.complete = false;
-  report.total_rounds =
-      report.setup_rounds + report.part_bfs_rounds + report.broadcast_rounds;
-  return report;
+  return finish(report);
 }
 
 }  // namespace fc::core

@@ -21,19 +21,22 @@
 
 namespace fc::core {
 
-struct FastBroadcastOptions {
+/// The engine knobs apply to every engine run of the broadcast — setup,
+/// per-part BFS, per-part Lemma 1 pipeline, oblivious probes — except the
+/// oblivious variant's O(D) δ-learning (algo::learn_parameters, which
+/// takes no options and so always yields a true δ). A cancelled run stops
+/// the broadcast (FastBroadcastReport::cancelled). A non-empty fault plan
+/// is rejected with std::invalid_argument before any run: the phases are
+/// separate engine runs with no single fault clock.
+struct FastBroadcastOptions : congest::RunOptions {
   double C = 2.0;           // Theorem 2 constant
   std::uint64_t seed = 1;   // shared randomness
   /// Re-seed and retry if a part fails to span (prob. n^{-Ω(C)}).
   std::uint32_t max_retries = 8;
   /// Run leader election (adds O(D) rounds). When false, node 0 is root.
   bool elect_leader = true;
-  std::uint64_t max_rounds = 50'000'000;
   /// Diameter-budget slack multiplier for the oblivious validity check.
   double validity_slack = 4.0;
-  /// Run every engine execution with the legacy dense sweep instead of the
-  /// event-driven engine (differential-test / baseline knob).
-  bool force_dense = false;
 };
 
 struct FastBroadcastReport {
@@ -51,6 +54,10 @@ struct FastBroadcastReport {
   std::uint64_t max_edge_congestion = 0;
   // Outcome.
   bool complete = false;  // every node verified (digest) to hold all k
+  /// An engine run was cut by an expired cancel token: the broadcast
+  /// stopped there, the counters cover the work up to the cut, and
+  /// `complete` is false. Not a failure of the algorithm.
+  bool cancelled = false;
   std::uint32_t retries = 0;
   std::uint32_t search_iterations = 0;  // oblivious only
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -194,17 +195,8 @@ IncrementalResult repair(const Graph& g, const WeightedGraph* wg,
   for (const std::uint8_t w : woken) res.woken += w;
 
   LabelCorrect alg(wg, dist, parent, woken);
-  congest::RunOptions ro;
-  ro.max_rounds = opts.max_rounds;
-  ro.parallel = opts.parallel;
-  ro.force_dense = opts.force_dense;
-  ro.pool = opts.pool;
-  if (opts.network != nullptr && &opts.network->graph() == &g) {
-    res.run = opts.network->run(alg, ro);
-  } else {
-    congest::Network net(g);
-    res.run = net.run(alg, ro);
-  }
+  std::optional<congest::Network> local;
+  res.run = congest::engine_for(g, opts.network, local).run(alg, opts);
   return res;
 }
 

@@ -50,14 +50,10 @@ namespace fc::dynamic {
 inline constexpr std::uint64_t kInfLabel =
     std::numeric_limits<std::uint64_t>::max() / 4;
 
-struct IncrementalOptions {
-  std::uint64_t max_rounds = 10'000'000;
-  bool parallel = true;
-  /// Dense-sweep engine instead of event-driven (differential knob).
-  bool force_dense = false;
-  ThreadPool* pool = nullptr;
-  /// Warm engine to reuse; engaged only when bound to EXACTLY the current
-  /// graph object (the serve layer's pooled Network).
+/// The engine knobs of the one repair run, plus the warm engine to run it
+/// on.
+struct IncrementalOptions : congest::RunOptions {
+  /// Warm engine to reuse under congest::engine_for's rule.
   congest::Network* network = nullptr;
 };
 

@@ -21,30 +21,6 @@ namespace fc::scenario {
 
 namespace {
 
-congest::RunOptions run_options(const ScenarioConfig& cfg) {
-  congest::RunOptions opts;
-  opts.max_rounds = cfg.max_rounds;
-  opts.force_dense = cfg.force_dense;
-  opts.telemetry = cfg.telemetry;
-  opts.pool = cfg.pool;
-  opts.faults = cfg.faults;
-  opts.cancel = cfg.cancel;
-  return opts;
-}
-
-/// Resolve the engine a scenario runs on: the caller's warm Network when it
-/// is bound to EXACTLY `g` (the serve layer's pooled engine), else a local
-/// one constructed into `local` on demand. Multi-phase scenarios call this
-/// once and run every phase on the same engine — Network::run resets all
-/// per-run state, so sequential reuse is bit-identical to fresh engines.
-congest::Network& engine_for(const Graph& g, const ScenarioConfig& cfg,
-                             std::optional<congest::Network>& local) {
-  if (cfg.network != nullptr && &cfg.network->graph() == &g)
-    return *cfg.network;
-  if (!local) local.emplace(g);
-  return *local;
-}
-
 /// The `sources=k` query set under the configured SourceMode: nodes 0..k-1
 /// (kFirst / kUnset) or k distinct seed-keyed nodes (kRandom).
 std::vector<NodeId> batch_sources(const Graph& g, const ScenarioConfig& cfg) {
@@ -90,9 +66,9 @@ ScenarioResult run_bfs_scenario(const Graph& g, const ScenarioConfig& cfg) {
   ScenarioResult r;
   r.finished = true;
   std::optional<congest::Network> local;
-  congest::Network& net = engine_for(g, cfg, local);
+  congest::Network& net = congest::engine_for(g, cfg.network, local);
   algo::DistributedBfs bfs(g, checked_root(g, cfg));
-  const auto cost = net.run(bfs, run_options(cfg));
+  const auto cost = net.run(bfs, cfg);
   std::vector<std::uint64_t> sends;
   accumulate(r, cost, sends);
   finish(r, g, sends);
@@ -116,10 +92,10 @@ ScenarioResult run_batch_bfs_scenario(const Graph& g,
   r.finished = true;
   const std::uint64_t k = cfg.sources != 0 ? cfg.sources : 1;
   std::optional<congest::Network> local;
-  congest::Network& net = engine_for(g, cfg, local);
+  congest::Network& net = congest::engine_for(g, cfg.network, local);
   algo::BatchBfs alg(g, batch_sources(g, cfg));
   std::vector<std::uint64_t> sends;
-  accumulate(r, net.run(alg, run_options(cfg)), sends);
+  accumulate(r, net.run(alg, cfg), sends);
   finish(r, g, sends);
   if (cfg.payload != nullptr) {
     for (std::uint32_t s = 0; s < alg.k(); ++s)
@@ -144,13 +120,7 @@ ScenarioResult run_batch_sssp_scenario(const WeightedGraph& g,
                                        const ScenarioConfig& cfg) {
   ScenarioResult r;
   const std::uint64_t k = cfg.sources != 0 ? cfg.sources : 1;
-  apps::BatchSsspOptions opts;
-  opts.max_rounds = cfg.max_rounds;
-  opts.force_dense = cfg.force_dense;
-  opts.telemetry = cfg.telemetry;
-  opts.pool = cfg.pool;
-  opts.network = cfg.network;
-  opts.cancel = cfg.cancel;
+  const apps::BatchSsspOptions opts{cfg, cfg.network};
   auto rep = apps::batch_sssp(g, batch_sources(g.graph(), cfg), opts);
   r.rounds = rep.rounds;
   r.messages = rep.messages;
@@ -178,9 +148,9 @@ ScenarioResult run_leader_scenario(const Graph& g, const ScenarioConfig& cfg) {
   ScenarioResult r;
   r.finished = true;
   std::optional<congest::Network> local;
-  congest::Network& net = engine_for(g, cfg, local);
+  congest::Network& net = congest::engine_for(g, cfg.network, local);
   algo::LeaderElection alg(g);
-  const auto cost = net.run(alg, run_options(cfg));
+  const auto cost = net.run(alg, cfg);
   std::vector<std::uint64_t> sends;
   accumulate(r, cost, sends);
   finish(r, g, sends);
@@ -236,13 +206,13 @@ ScenarioResult run_broadcast_scenario(const Graph& full,
   // pooled Network when the run is unrestricted, a single local one else.
   std::vector<std::uint64_t> sends;
   std::optional<congest::Network> local;
-  congest::Network& net = engine_for(g, cfg, local);
+  congest::Network& net = congest::engine_for(g, cfg.network, local);
   algo::DistributedBfs bfs(g, root);
-  accumulate(r, net.run(bfs, run_options(cfg)), sends);
+  accumulate(r, net.run(bfs, cfg), sends);
   const auto tree = algo::extract_tree(g, bfs);
 
   algo::PipelineBroadcast pipe(g, tree, std::move(msgs));
-  accumulate(r, net.run(pipe, run_options(cfg)), sends);
+  accumulate(r, net.run(pipe, cfg), sends);
   finish(r, g, sends);
 
   bool complete = true;
@@ -263,16 +233,16 @@ ScenarioResult run_convergecast_scenario(const Graph& full,
   const NodeId root = w.root;
   std::vector<std::uint64_t> sends;
   std::optional<congest::Network> local;
-  congest::Network& net = engine_for(g, cfg, local);
+  congest::Network& net = congest::engine_for(g, cfg.network, local);
   algo::DistributedBfs bfs(g, root);
-  accumulate(r, net.run(bfs, run_options(cfg)), sends);
+  accumulate(r, net.run(bfs, cfg), sends);
   const auto tree = algo::extract_tree(g, bfs);
 
   // Aggregate sum of node ids: every node can verify n(n-1)/2.
   std::vector<std::uint64_t> values(g.node_count());
   for (NodeId v = 0; v < g.node_count(); ++v) values[v] = v;
   algo::Convergecast agg(g, tree, algo::AggregateOp::kSum, std::move(values));
-  accumulate(r, net.run(agg, run_options(cfg)), sends);
+  accumulate(r, net.run(agg, cfg), sends);
   finish(r, g, sends);
   r.note = "sum=" + std::to_string(agg.result(root)) + w.note;
   return r;
@@ -338,13 +308,14 @@ ScenarioResult run_weighted_apsp_scenario(const WeightedGraph& full,
       std::max(1u, estimate_edge_connectivity(g.graph(), cfg.seed).value);
   apps::WeightedApspOptions opts;
   opts.seed = cfg.seed;
-  opts.broadcast.force_dense = cfg.force_dense;
+  opts.broadcast = core::FastBroadcastOptions{cfg};
   const auto report =
       apps::approximate_apsp_weighted(g, lambda, cfg.stretch_k, opts);
   r.rounds = report.total_rounds;
   r.messages = report.broadcast_report.messages;
   r.max_edge_congestion = report.broadcast_report.max_edge_congestion;
   r.finished = report.broadcast_report.complete;
+  r.cancelled = report.broadcast_report.cancelled;
   r.note = "stretch<=" + std::to_string(2 * cfg.stretch_k - 1) +
            " lambda=" + std::to_string(lambda) +
            " spanner=" + std::to_string(report.spanner.edges.size()) + w.note;
@@ -357,13 +328,7 @@ ScenarioResult run_mst_scenario(const WeightedGraph& full,
   const WeightedWorkload w =
       weighted_root_component(full, checked_root(full.graph(), cfg));
   const WeightedGraph& g = w.get(full);
-  apps::MstOptions opts;
-  opts.max_rounds = cfg.max_rounds;
-  opts.force_dense = cfg.force_dense;
-  opts.telemetry = cfg.telemetry;
-  opts.pool = cfg.pool;
-  opts.cancel = cfg.cancel;
-  const auto rep = apps::distributed_mst(g, opts);
+  const auto rep = apps::distributed_mst(g, apps::MstOptions{cfg});
   r.rounds = rep.rounds;
   r.messages = rep.messages;
   r.finished = rep.finished;
@@ -402,14 +367,7 @@ ScenarioResult run_sssp_scenario(const WeightedGraph& full,
     }
     return r;
   }
-  apps::SsspOptions opts;
-  opts.max_rounds = cfg.max_rounds;
-  opts.force_dense = cfg.force_dense;
-  opts.telemetry = cfg.telemetry;
-  opts.pool = cfg.pool;
-  opts.network = cfg.network;
-  opts.faults = cfg.faults;
-  opts.cancel = cfg.cancel;
+  const apps::SsspOptions opts{cfg, cfg.network};
   const auto rep = apps::distributed_sssp(g, w.root, opts);
   r.rounds = rep.rounds;
   r.messages = rep.messages;

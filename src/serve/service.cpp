@@ -19,18 +19,16 @@ Service::Service(ServiceOptions opts)
     throw std::invalid_argument("serve: window must be >= 1");
 }
 
-std::string Service::count(const std::string& response_line) {
+std::string Service::count(Reply reply) {
   ++stats_.responses;
-  // Error lines all share the literal prefix serialize() emits for ok=false.
-  if (response_line.find("\"ok\": false") != std::string::npos)
-    ++stats_.errors;
-  return response_line;
+  if (!reply.ok) ++stats_.errors;
+  return std::move(reply.line);
 }
 
 std::vector<std::string> Service::submit(const std::string& line) {
   ++stats_.requests;
   if (line.size() > opts_.max_request_bytes)
-    return {count(error_response(
+    return {count(fail(
         0, ErrorCode::kOversized,
         "request of " + std::to_string(line.size()) + " bytes exceeds the " +
             std::to_string(opts_.max_request_bytes) + "-byte limit"))};
@@ -39,20 +37,20 @@ std::vector<std::string> Service::submit(const std::string& line) {
   try {
     parsed = parse_json(line);
   } catch (const std::exception& err) {
-    return {count(error_response(0, ErrorCode::kParse, err.what()))};
+    return {count(fail(0, ErrorCode::kParse, err.what()))};
   }
 
   Request req;
   ErrorCode code = ErrorCode::kNone;
   std::string message;
   if (!parse_request(parsed, &req, &code, &message))
-    return {count(error_response(req.query.id, code, message))};
+    return {count(fail(req.query.id, code, message))};
 
   switch (req.command) {
     case Command::kFlush:
       return flush();
     case Command::kStats:
-      return {count(stats_response(req.query.id))};
+      return {count({stats_response(req.query.id), true})};
     case Command::kShutdown: {
       shutdown_ = true;
       std::vector<std::string> out = flush();
@@ -62,7 +60,7 @@ std::vector<std::string> Service::submit(const std::string& line) {
           .field("ok", true)
           .field("cmd", "shutdown")
           .end_object();
-      out.push_back(count(w.take()));
+      out.push_back(count({w.take(), true}));
       return out;
     }
     case Command::kUpdate: {
@@ -84,7 +82,7 @@ std::vector<std::string> Service::submit(const std::string& line) {
     ++stats_.shed;
     const std::uint64_t retry_ms =
         1 + 2 * static_cast<std::uint64_t>(pending_.size());
-    return {count(error_response(
+    return {count(fail(
         req.query.id, ErrorCode::kOverloaded,
         "admission queue full (" + std::to_string(pending_.size()) +
             " pending); retry after backoff",
@@ -96,16 +94,15 @@ std::vector<std::string> Service::submit(const std::string& line) {
   PendingQuery p;
   p.query = std::move(req.query);
   if (!runner_.has(p.query.algo))
-    return {count(error_response(p.query.id, ErrorCode::kUnknownAlgo,
-                                 "unknown algorithm '" + p.query.algo +
-                                     "' (see scenario_runner --list)"))};
+    return {count(fail(p.query.id, ErrorCode::kUnknownAlgo,
+                       "unknown algorithm '" + p.query.algo +
+                           "' (see scenario_runner --list)"))};
   try {
     p.spec = scenario::GraphSpec::parse(p.query.spec);
     p.pool_key = EnginePool::pool_key(p.spec);
     p.query.cfg = scenario::apply_spec_config(p.query.cfg, p.spec);
   } catch (const std::exception& err) {
-    return {count(
-        error_response(p.query.id, ErrorCode::kBadSpec, err.what()))};
+    return {count(fail(p.query.id, ErrorCode::kBadSpec, err.what()))};
   }
   // The deadline clock starts at ADMISSION: time spent waiting in the
   // window counts against the budget, exactly what a latency SLO means.
@@ -137,10 +134,10 @@ std::vector<std::string> Service::flush() {
   std::vector<PendingQuery> batch = std::move(pending_);
   pending_.clear();
 
-  congest::Telemetry telemetry(opts_.telemetry);
+  congest::Telemetry telemetry(opts_.telemetry_mode);
   active_telemetry_ = telemetry.enabled() ? &telemetry : nullptr;
 
-  std::vector<std::string> responses(batch.size());
+  std::vector<Reply> responses(batch.size());
 
   // Effective deadline per query: its own admission deadline tightened by
   // the flush budget, so one pathological window-mate cannot hold every
@@ -194,8 +191,10 @@ std::vector<std::string> Service::flush() {
     opts_.metrics->flush();
   }
 
-  for (std::string& r : responses) count(r);
-  return responses;
+  std::vector<std::string> lines;
+  lines.reserve(responses.size());
+  for (Reply& r : responses) lines.push_back(count(std::move(r)));
+  return lines;
 }
 
 void Service::prepare_dynamic(const scenario::GraphSpec& spec) {
@@ -212,7 +211,7 @@ void Service::prepare_dynamic(const scenario::GraphSpec& spec) {
     pool_.install(spec, sc.graph());
 }
 
-std::string Service::update_response(const Request& req) {
+Service::Reply Service::update_response(const Request& req) {
   const std::uint64_t id = req.query.id;
   // One command advances at most this many batches: a typo'd batch count
   // must not wedge the daemon in a churn loop.
@@ -221,12 +220,11 @@ std::string Service::update_response(const Request& req) {
     const scenario::GraphSpec spec =
         scenario::GraphSpec::parse(req.update_spec);
     if (!scenario::spec_is_dynamic(spec))
-      return error_response(id, ErrorCode::kBadSpec,
-                            "update requires a dynamic spec "
-                            "(churn=/updates=); got '" +
-                                req.update_spec + "'");
+      return fail(id, ErrorCode::kBadSpec,
+                  "update requires a dynamic spec (churn=/updates=); got '" +
+                      req.update_spec + "'");
     if (req.update_batches > kMaxBatchesPerCommand)
-      return error_response(
+      return fail(
           id, ErrorCode::kBadRequest,
           "batches=" + std::to_string(req.update_batches) +
               " exceeds the per-command cap of " +
@@ -262,23 +260,23 @@ std::string Service::update_response(const Request& req) {
         .field("nodes", std::uint64_t{sc.graph().node_count()})
         .field("edges", std::uint64_t{sc.graph().edge_count()})
         .end_object();
-    return w.take();
+    return {w.take(), true};
   } catch (const std::invalid_argument& err) {
-    return error_response(id, ErrorCode::kBadSpec, err.what());
+    return fail(id, ErrorCode::kBadSpec, err.what());
   } catch (const std::exception& err) {
-    return error_response(id, ErrorCode::kInternal, err.what());
+    return fail(id, ErrorCode::kInternal, err.what());
   }
 }
 
-std::string Service::deadline_exceeded_response(std::uint64_t id,
-                                                std::uint64_t cancelled_rounds,
-                                                const std::string& message) {
+Service::Reply Service::deadline_exceeded_response(
+    std::uint64_t id, std::uint64_t cancelled_rounds,
+    const std::string& message) {
   ++stats_.deadline_exceeded;
   stats_.cancelled_rounds += cancelled_rounds;
-  return error_response(id, ErrorCode::kDeadlineExceeded, message);
+  return fail(id, ErrorCode::kDeadlineExceeded, message);
 }
 
-std::string Service::run_one(
+Service::Reply Service::run_one(
     const PendingQuery& p,
     const std::optional<Clock::time_point>& deadline) {
   Response resp;
@@ -293,12 +291,12 @@ std::string Service::run_one(
     EnginePool::Entry& entry = pool_.acquire(p.spec, &resp.cache_hit);
     const Graph& g = entry.graph();
     if (p.query.cfg.root >= g.node_count())
-      return error_response(
+      return fail(
           resp.id, ErrorCode::kBadSource,
           "root " + std::to_string(p.query.cfg.root) +
               " out of range for n=" + std::to_string(g.node_count()));
     if (p.query.cfg.sources > g.node_count())
-      return error_response(
+      return fail(
           resp.id, ErrorCode::kBadSource,
           "sources=" + std::to_string(p.query.cfg.sources) +
               " exceeds the graph's n=" + std::to_string(g.node_count()));
@@ -326,9 +324,9 @@ std::string Service::run_one(
           resp.id, resp.result.rounds,
           "deadline expired after " + std::to_string(resp.result.rounds) +
               " engine rounds (run cancelled)");
-    // Response-time check: catches workloads the token cannot truncate
-    // (weighted-apsp) and runs that finished just past the deadline — the
-    // client stopped waiting either way.
+    // Response-time check: catches work outside any engine round (e.g.
+    // weighted-apsp's λ estimate and spanner) and runs that finished just
+    // past the deadline — the client stopped waiting either way.
     if (deadline && Clock::now() >= *deadline)
       return deadline_exceeded_response(resp.id, 0,
                                         "answer produced after the deadline");
@@ -339,11 +337,11 @@ std::string Service::run_one(
       resp.has_payload = true;
       resp.payload = std::move(payload);
     }
-    return serialize(resp);
+    return {serialize(resp), true};
   } catch (const std::invalid_argument& err) {
-    return error_response(resp.id, ErrorCode::kBadSpec, err.what());
+    return fail(resp.id, ErrorCode::kBadSpec, err.what());
   } catch (const std::exception& err) {
-    return error_response(resp.id, ErrorCode::kInternal, err.what());
+    return fail(resp.id, ErrorCode::kInternal, err.what());
   }
 }
 
@@ -373,7 +371,7 @@ void Service::run_coalesced_bfs(
     const std::vector<std::size_t>& members,
     std::vector<PendingQuery>& batch,
     const std::vector<std::optional<Clock::time_point>>& deadlines,
-    std::vector<std::string>& responses) {
+    std::vector<Reply>& responses) {
   const PendingQuery& first = batch[members.front()];
   bool cache_hit = false;
   EnginePool::Entry* entry = nullptr;
@@ -382,8 +380,7 @@ void Service::run_coalesced_bfs(
     entry = &pool_.acquire(first.spec, &cache_hit);
   } catch (const std::exception& err) {
     for (const std::size_t i : members)
-      responses[i] = error_response(batch[i].query.id, ErrorCode::kBadSpec,
-                                    err.what());
+      responses[i] = fail(batch[i].query.id, ErrorCode::kBadSpec, err.what());
     return;
   }
   const Graph& g = entry->graph();
@@ -401,7 +398,7 @@ void Service::run_coalesced_bfs(
     }
     const NodeId root = batch[i].query.cfg.root;
     if (root >= g.node_count()) {
-      responses[i] = error_response(
+      responses[i] = fail(
           batch[i].query.id, ErrorCode::kBadSource,
           "root " + std::to_string(root) +
               " out of range for n=" + std::to_string(g.node_count()));
@@ -413,9 +410,8 @@ void Service::run_coalesced_bfs(
   if (live.empty()) return;
 
   try {
-    congest::RunOptions ropts;
-    ropts.max_rounds = first.query.cfg.max_rounds;
-    ropts.force_dense = first.query.cfg.force_dense;
+    // Group members share their engine knobs (the coalesce key).
+    congest::RunOptions ropts = first.query.cfg;
     ropts.telemetry = active_telemetry_;
     ropts.pool = opts_.pool;
     congest::CancelToken token;
@@ -475,12 +471,11 @@ void Service::run_coalesced_bfs(
             alg.source_distances(static_cast<std::uint32_t>(s)));
         resp.payload.sources = {sources[s]};
       }
-      responses[i] = serialize(resp);
+      responses[i] = {serialize(resp), true};
     }
   } catch (const std::exception& err) {
     for (const std::size_t i : live)
-      responses[i] = error_response(batch[i].query.id, ErrorCode::kInternal,
-                                    err.what());
+      responses[i] = fail(batch[i].query.id, ErrorCode::kInternal, err.what());
   }
 }
 
@@ -488,7 +483,7 @@ void Service::run_coalesced_sssp(
     const std::vector<std::size_t>& members,
     std::vector<PendingQuery>& batch,
     const std::vector<std::optional<Clock::time_point>>& deadlines,
-    std::vector<std::string>& responses) {
+    std::vector<Reply>& responses) {
   const PendingQuery& first = batch[members.front()];
   bool cache_hit = false;
   EnginePool::Entry* entry = nullptr;
@@ -497,8 +492,7 @@ void Service::run_coalesced_sssp(
     entry = &pool_.acquire(first.spec, &cache_hit);
   } catch (const std::exception& err) {
     for (const std::size_t i : members)
-      responses[i] = error_response(batch[i].query.id, ErrorCode::kBadSpec,
-                                    err.what());
+      responses[i] = fail(batch[i].query.id, ErrorCode::kBadSpec, err.what());
     return;
   }
   const WeightedGraph& wg = entry->weighted_graph();
@@ -514,7 +508,7 @@ void Service::run_coalesced_sssp(
     }
     const NodeId root = batch[i].query.cfg.root;
     if (root >= g.node_count()) {
-      responses[i] = error_response(
+      responses[i] = fail(
           batch[i].query.id, ErrorCode::kBadSource,
           "root " + std::to_string(root) +
               " out of range for n=" + std::to_string(g.node_count()));
@@ -526,12 +520,10 @@ void Service::run_coalesced_sssp(
   if (live.empty()) return;
 
   try {
-    apps::BatchSsspOptions opts;
-    opts.max_rounds = first.query.cfg.max_rounds;
-    opts.force_dense = first.query.cfg.force_dense;
+    // Group members share their engine knobs (the coalesce key).
+    apps::BatchSsspOptions opts{first.query.cfg, entry->network.get()};
     opts.telemetry = active_telemetry_;
     opts.pool = opts_.pool;
-    opts.network = entry->network.get();
     congest::CancelToken token;
     if (const auto group = group_deadline_of(live, deadlines)) {
       token.set_deadline(*group);
@@ -583,12 +575,11 @@ void Service::run_coalesced_sssp(
         resp.payload.distances.push_back(std::move(rep.dist[s]));
         resp.payload.sources = {sources[s]};
       }
-      responses[i] = serialize(resp);
+      responses[i] = {serialize(resp), true};
     }
   } catch (const std::exception& err) {
     for (const std::size_t i : live)
-      responses[i] = error_response(batch[i].query.id, ErrorCode::kInternal,
-                                    err.what());
+      responses[i] = fail(batch[i].query.id, ErrorCode::kInternal, err.what());
   }
 }
 

@@ -64,8 +64,9 @@ struct ServiceOptions {
   std::size_t window = 1;
   /// Hard cap on one request line; longer lines get ErrorCode::kOversized.
   std::size_t max_request_bytes = 1 << 20;
-  /// Per-flush telemetry recording (kOff = none).
-  congest::TelemetryMode telemetry = congest::TelemetryMode::kOff;
+  /// Per-flush telemetry recording mode (kOff = none); the service owns
+  /// the recorder and hands it to every engine run of the flush.
+  congest::TelemetryMode telemetry_mode = congest::TelemetryMode::kOff;
   /// NDJSON sink for per-flush telemetry (null = discard even when
   /// recording). See docs/OBSERVABILITY.md for the line format.
   std::ostream* metrics = nullptr;
@@ -146,6 +147,18 @@ class Service {
  private:
   using Clock = congest::CancelToken::Clock;
 
+  /// A response line and its outcome, handed to count() by the code that
+  /// built it — the stats never re-read serialized output.
+  struct Reply {
+    std::string line;
+    bool ok = false;
+  };
+  static Reply fail(std::uint64_t id, ErrorCode code,
+                    const std::string& message,
+                    std::uint64_t retry_after_ms = 0) {
+    return {error_response(id, code, message, retry_after_ms), false};
+  }
+
   struct PendingQuery {
     Query query;
     scenario::GraphSpec spec;  // parsed, pre-validated at submit time
@@ -155,13 +168,13 @@ class Service {
     std::optional<Clock::time_point> deadline;
   };
 
-  std::string run_one(const PendingQuery& p,
-                      const std::optional<Clock::time_point>& deadline);
+  Reply run_one(const PendingQuery& p,
+                const std::optional<Clock::time_point>& deadline);
   /// Count + build one deadline-exceeded error. `cancelled_rounds` is the
   /// engine work a cancelled execution burned (0 when nothing ran).
-  std::string deadline_exceeded_response(std::uint64_t id,
-                                         std::uint64_t cancelled_rounds,
-                                         const std::string& message);
+  Reply deadline_exceeded_response(std::uint64_t id,
+                                   std::uint64_t cancelled_rounds,
+                                   const std::string& message);
   /// Dynamic specs resolve through their DynamicScenario, never a Registry
   /// build: get-or-create the scenario for `spec`'s pool key and, if the
   /// pool lacks the entry (first touch, or evicted), install the CURRENT
@@ -170,19 +183,21 @@ class Service {
   void prepare_dynamic(const scenario::GraphSpec& spec);
   /// Apply one update command: flush happens in submit(); this advances the
   /// scenario and installs the mutated graph into the pool.
-  std::string update_response(const Request& req);
+  Reply update_response(const Request& req);
   void run_coalesced_bfs(
       const std::vector<std::size_t>& members,
       std::vector<PendingQuery>& batch,
       const std::vector<std::optional<Clock::time_point>>& deadlines,
-      std::vector<std::string>& responses);
+      std::vector<Reply>& responses);
   void run_coalesced_sssp(
       const std::vector<std::size_t>& members,
       std::vector<PendingQuery>& batch,
       const std::vector<std::optional<Clock::time_point>>& deadlines,
-      std::vector<std::string>& responses);
+      std::vector<Reply>& responses);
   std::string stats_response(std::uint64_t id) const;
-  std::string count(const std::string& response_line);
+  /// Tally one reply in the stats (responses, and errors when !ok) and
+  /// release its line.
+  std::string count(Reply reply);
 
   ServiceOptions opts_;
   scenario::ScenarioRunner runner_;

@@ -200,6 +200,13 @@ TEST(EngineCancel, ScenarioLayerPropagatesCancellation) {
     EXPECT_FALSE(res.finished);
     EXPECT_EQ(res.rounds, 0u);
   }
+  // weighted-apsp hands the token to its fast broadcast. Its rounds may
+  // hold the Baswana-Sen spanner's, which are charged analytically before
+  // the first engine run.
+  const auto apsp = runner.run_spec(
+      "weighted-apsp", "random_regular:n=64,d=4,seed=3,weights=1..50", cfg);
+  EXPECT_TRUE(apsp.cancelled);
+  EXPECT_FALSE(apsp.finished);
   // An un-expired token changes nothing.
   CancelToken live;
   cfg.cancel = &live;
@@ -457,6 +464,23 @@ TEST(ServeDuress, DeadlineCancelsTheEngineMidRun) {
   EXPECT_EQ(r.str("error", ""), "deadline-exceeded");
   EXPECT_NE(r.str("message", "").find("engine rounds"), std::string::npos);
   EXPECT_EQ(service.stats().deadline_exceeded, 1u);
+}
+
+TEST(ServeDuress, DeadlineCancelsWeightedApspMidRun) {
+  Service service(ServiceOptions{});
+  // weighted-apsp's fast broadcast runs on the dense engine over a 4k path:
+  // leader election alone sweeps all nodes for thousands of rounds, so the
+  // deadline must cut the broadcast through the token, like sssp's run.
+  const auto out = service.submit(query_line(
+      "path:n=4000,weights=1..9", "weighted-apsp",
+      "\"id\": 1, \"deadline_ms\": 30, \"engine\": \"dense\""));
+  ASSERT_EQ(out.size(), 1u);
+  const JsonValue r = parse_json(out.front());
+  EXPECT_FALSE(r.flag("ok"));
+  EXPECT_EQ(r.str("error", ""), "deadline-exceeded");
+  EXPECT_NE(r.str("message", "").find("engine rounds"), std::string::npos);
+  EXPECT_EQ(service.stats().deadline_exceeded, 1u);
+  EXPECT_EQ(service.stats().errors, 1u);
 }
 
 TEST(ServeDuress, FlushBudgetBoundsTheWholeWindow) {

@@ -491,6 +491,53 @@ TEST(CompositeFaults, GlobalPlanOnCompositeThrows) {
   EXPECT_THROW(congest::run_edge_disjoint(g, work, ro), std::logic_error);
 }
 
+TEST(Faults, BatchSsspHonoursTheScenarioPlan) {
+  // batch-sssp is ONE engine execution, so ScenarioConfig::faults reaches
+  // it like bfs: a round-0 drop of an edge at a source equals removing it.
+  Rng rng(7);
+  const Graph g = gen::random_regular(64, 6, rng);
+  const scenario::ScenarioRunner runner;
+  for (const NodeId s : {NodeId{0}, NodeId{1}, NodeId{2}}) {
+    const EdgeId e = g.arc_edge(g.arc_begin(s));
+    SCOPED_TRACE(e);
+    congest::FaultPlan plan;
+    plan.drop_edge(0, e);
+    scenario::ScenarioPayload payload;
+    scenario::ScenarioConfig cfg;
+    cfg.sources = 3;
+    cfg.faults = &plan;
+    cfg.payload = &payload;
+    const auto res = runner.run("batch-sssp", g, "rr", cfg);  // unit weights
+    EXPECT_TRUE(res.finished);
+    const WeightedGraph cut(without_edge(g, e),
+                            std::vector<Weight>(g.edge_count() - 1, 1));
+    ASSERT_EQ(payload.distances.size(), 3u);
+    for (NodeId q = 0; q < 3; ++q)
+      EXPECT_EQ(payload.distances[q], dijkstra(cut, q));
+    // The drop mattered: the edge was the only 1-hop path between its ends.
+    EXPECT_NE(payload.distances[s][g.arc_head(g.arc_begin(s))], Weight{1});
+  }
+}
+
+TEST(Faults, MultiPhaseAppsRejectPlansInsteadOfIgnoringThem) {
+  // mst and weighted-apsp run many engine executions with no single fault
+  // clock: a non-empty plan is a typed error before any engine run.
+  congest::FaultPlan plan;
+  plan.drop_edge(0, 0);
+  scenario::ScenarioConfig cfg;
+  cfg.faults = &plan;
+  const scenario::ScenarioRunner runner;
+  const char* spec = "random_regular:n=64,d=4,seed=3,weights=1..50";
+  for (const char* algo : {"mst", "weighted-apsp"}) {
+    SCOPED_TRACE(algo);
+    EXPECT_THROW(runner.run_spec(algo, spec, cfg), std::invalid_argument);
+  }
+  // An empty plan is no plan.
+  const congest::FaultPlan none;
+  cfg.faults = &none;
+  EXPECT_TRUE(runner.run_spec("mst", spec, cfg).finished);
+}
+
 // -------------------------------------------------------- wakeup fuzz --
 
 // Property: for ANY churn sequence, the event-driven parallel repair's
@@ -529,9 +576,10 @@ TEST(Fuzz, RandomChurnKeepsSparseParallelEqualToDenseSerial) {
     DynamicScenario sc = DynamicScenario::parse(spec);
 
     IncrementalOptions sparse;  // event-driven, global pool, parallel
+    ThreadPool serial(1);
     IncrementalOptions dense;
     dense.force_dense = true;
-    dense.parallel = false;
+    dense.pool = &serial;
 
     DynamicBfs bfs(0);
     DynamicSssp sssp(0);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "lb/bit_meter.hpp"
@@ -128,6 +131,83 @@ TEST(FastBroadcast, DisconnectedGraphThrows) {
 TEST(FastBroadcast, ZeroLambdaThrows) {
   const Graph g = gen::cycle(5);
   EXPECT_THROW(run_fast_broadcast(g, 0, {}), std::invalid_argument);
+}
+
+/// The three entry points, for checks that must hold for each of them.
+std::vector<FastBroadcastReport> all_entry_points(
+    const Graph& g, std::uint32_t lambda,
+    std::span<const algo::PlacedMessage> msgs,
+    const FastBroadcastOptions& opts) {
+  return {run_fast_broadcast(g, lambda, msgs, opts),
+          run_fast_broadcast_oblivious(g, msgs, opts),
+          run_textbook_broadcast(g, msgs, opts)};
+}
+
+TEST(FastBroadcast, FaultPlansAreRejectedBeforeAnyRun) {
+  const Graph g = gen::cycle(8);
+  congest::FaultPlan plan;
+  plan.drop_edge(0, 0);
+  FastBroadcastOptions opts;
+  opts.faults = &plan;
+  EXPECT_THROW(run_fast_broadcast(g, 2, {}, opts), std::invalid_argument);
+  EXPECT_THROW(run_fast_broadcast_oblivious(g, {}, opts),
+               std::invalid_argument);
+  EXPECT_THROW(run_textbook_broadcast(g, {}, opts), std::invalid_argument);
+  const congest::FaultPlan none;  // an empty plan is no plan
+  opts.faults = &none;
+  for (const auto& r : all_entry_points(g, 2, {}, opts))
+    EXPECT_TRUE(r.complete) << r.str();
+}
+
+TEST(FastBroadcast, CancelledTokenStopsEveryEntryPoint) {
+  Rng rng(9);
+  const Graph g = gen::random_regular(64, 16, rng);
+  const auto msgs = random_messages(g, 64, rng);
+  congest::CancelToken token;
+  token.cancel();
+  FastBroadcastOptions opts;
+  opts.cancel = &token;
+  for (const bool elect : {true, false}) {
+    SCOPED_TRACE(elect ? "leader election first" : "setup BFS first");
+    opts.elect_leader = elect;
+    // A setup BFS cut at round 0 reaches only its root: that is a
+    // cancellation, not a disconnected graph.
+    for (const auto& r : all_entry_points(g, 16, msgs, opts)) {
+      EXPECT_TRUE(r.cancelled) << r.str();
+      EXPECT_FALSE(r.complete);
+      EXPECT_EQ(r.total_rounds, 0u);
+      EXPECT_EQ(r.retries, 0u);
+    }
+  }
+}
+
+TEST(FastBroadcast, CancellationMidRunNeverLooksLikeFailure) {
+  // Whatever phase the flag lands in — setup, part BFS, a Lemma 1
+  // pipeline, an oblivious probe — the broadcast either completes or
+  // reports `cancelled`: no retry storm, no λ-halving to a throw.
+  Rng rng(10);
+  const Graph g = gen::random_regular(256, 32, rng);
+  const auto msgs = random_messages(g, 1024, rng);
+  const auto uncut = all_entry_points(g, 32, msgs, {});
+  for (const int delay_us : {0, 100, 400, 1600, 6400}) {
+    SCOPED_TRACE(delay_us);
+    congest::CancelToken token;
+    FastBroadcastOptions opts;
+    opts.cancel = &token;
+    std::thread killer([&token, delay_us] {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+      token.cancel();
+    });
+    std::vector<FastBroadcastReport> cut;
+    EXPECT_NO_THROW(cut = all_entry_points(g, 32, msgs, opts));
+    killer.join();
+    for (std::size_t i = 0; i < cut.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_NE(cut[i].cancelled, cut[i].complete) << cut[i].str();
+      EXPECT_LE(cut[i].total_rounds, uncut[i].total_rounds);
+      if (cut[i].complete) EXPECT_EQ(cut[i].str(), uncut[i].str());
+    }
+  }
 }
 
 TEST(FastBroadcastOblivious, FindsWorkingLambdaOnDumbbell) {

@@ -148,8 +148,9 @@ TEST(Network, SerialAndParallelAgree) {
   const Graph g = gen::circulant(600, 3);  // big enough to trigger threads
   Network net1(g), net2(g);
   HelloAll a1(g), a2(g);
-  const auto r1 = net1.run(a1, {.parallel = false});
-  const auto r2 = net2.run(a2, {.parallel = true});
+  ThreadPool serial(1);
+  const auto r1 = net1.run(a1, {.pool = &serial});
+  const auto r2 = net2.run(a2);
   EXPECT_EQ(r1.rounds, r2.rounds);
   EXPECT_EQ(r1.messages, r2.messages);
   EXPECT_EQ(a1.heard_, a2.heard_);

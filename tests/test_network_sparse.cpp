@@ -417,13 +417,13 @@ TEST(SparseEngine, ClusteringDifferentialThroughEntryPoint) {
     SCOPED_TRACE(spec);
     const Graph g = scenario::build_graph(spec);
     apps::ClusteringOptions dense;
-    dense.engine.force_dense = true;
+    dense.force_dense = true;
     const auto baseline = apps::build_clustering(g, 4, dense);
     for (const std::size_t threads : kThreads) {
       SCOPED_TRACE(threads);
       ThreadPool pool(threads);
       apps::ClusteringOptions opts;
-      opts.engine.pool = &pool;
+      opts.pool = &pool;
       const auto sparse = apps::build_clustering(g, 4, opts);
       EXPECT_EQ(baseline.s, sparse.s);
       EXPECT_EQ(baseline.centers, sparse.centers);
@@ -562,24 +562,25 @@ TEST(SparseEngine, RunnerInterleavedMatchesSequential) {
   }
 }
 
-TEST(SparseEngine, CountSendsOffStillCountsMessages) {
+TEST(SparseEngine, EmptyArcSendsAccessorsAndMovedOutReuse) {
   const Graph g = scenario::build_graph("cycle:n=8");
+  // The congestion accessors must tolerate an empty vector (a default
+  // RunResult) — they report 0, like an all-zero one.
+  const RunResult empty;
+  EXPECT_TRUE(empty.arc_sends.empty());
+  EXPECT_EQ(empty.edge_congestion(g, 0), 0u);
+  EXPECT_EQ(empty.max_edge_congestion(g), 0u);
+  // run() moves arc_sends out into the result; the network stays reusable.
   Network net(g);
   algo::DistributedBfs alg(g, 0);
-  RunOptions opts;
-  opts.count_sends = false;
-  const auto res = net.run(alg, opts);
+  const auto res = net.run(alg);
   ASSERT_TRUE(res.finished);
-  EXPECT_TRUE(res.arc_sends.empty());
   EXPECT_GT(res.messages, 0u);
-  // The congestion accessors must tolerate the uncounted (empty) vector —
-  // they report 0, like the all-zero vector such runs used to carry.
-  EXPECT_EQ(res.edge_congestion(g, 0), 0u);
-  EXPECT_EQ(res.max_edge_congestion(g), 0u);
-  // The network stays reusable after the moved-out arc_sends.
+  EXPECT_EQ(res.arc_sends.size(), g.arc_count());
   algo::DistributedBfs again(g, 0);
   const auto res2 = net.run(again);
   EXPECT_EQ(res2.arc_sends.size(), g.arc_count());
+  EXPECT_EQ(res2.arc_sends, res.arc_sends);
 }
 
 }  // namespace
