@@ -15,9 +15,9 @@
 //   * star         — one hot hub, n leaves active for exactly one round.
 //   * messages>>n  — batch-bfs with k=256 sources on the expander: every
 //                    round delivers far more messages than there are
-//                    nodes, so delivery stamping (not handler dispatch)
-//                    is the bottleneck. The regime the parallel stamp
-//                    pass exists for; CI asserts its row stays identical.
+//                    nodes, so the serial delivery stamp pass (not handler
+//                    dispatch) is the bottleneck; CI asserts its row stays
+//                    identical.
 //
 // Both engines must produce bit-identical results (rounds, messages,
 // per-arc sends) — the harness checks and prints it. `--quick` shrinks n
@@ -26,19 +26,16 @@
 //
 // Experiment N2 (same binary, built-in grid only): telemetry overhead —
 // off vs rounds vs full recording on the deep-path and expander regimes.
-// CI guards "rounds" mode at <= 5% overhead on deep path, the contract
-// that makes the counter series safe to leave on (docs/OBSERVABILITY.md).
-//
-// Experiment N3 (built-in grid only): the delivery stamp pass itself —
-// serial loop (parallel_stamp_threshold = SIZE_MAX) vs the per-worker
-// parallel pass (threshold 0) on the messages>>n workload, sparse engine
-// both times. Results must be bit-identical; the speedup is the tentpole
-// measurement for the parallel stamp pass.
+// CI guards "rounds" mode at <= 8% overhead on the quick deep path, the
+// contract that makes the counter series safe to leave on
+// (docs/OBSERVABILITY.md states what the rows measure).
 //
 // Experiment N4 (built-in grid only): composite edge-disjoint execution —
-// run_edge_disjoint in legacy kSequential mode (one Network per instance)
-// vs kInterleaved (all instances in ONE engine run on the block-diagonal
-// union graph). Composite and per-instance costs must agree exactly.
+// run_edge_disjoint's kSequential oracle (one Network per instance) vs the
+// production kInterleaved mode (all instances in ONE engine run on the
+// block-diagonal union graph), on 4-part BFS and on Theorem 1's per-part
+// Lemma 1 broadcast. Composite and per-instance costs must agree exactly;
+// each mode's time is its minimum over >= 3 alternating reps.
 //
 // Flags: --quick, --graph=<spec> (repeatable; replaces the built-in
 // regimes), --sources=<k> (batch-bfs backlog width, default 64).
@@ -47,11 +44,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <memory>
 
 #include "algo/bfs.hpp"
 #include "algo/leader_election.hpp"
+#include "algo/pipeline_broadcast.hpp"
 #include "apps/batch_sssp.hpp"
 #include "congest/network.hpp"
 #include "congest/runner.hpp"
@@ -69,28 +66,18 @@ struct EngineRun {
   double rounds_per_sec = 0.0;
 };
 
-/// Run (fresh algorithm, fresh network, fresh telemetry recorder)
-/// repeatedly until >= 0.2 s of engine time accumulates (50 reps cap), so
-/// the short expander/star runs are timed above clock noise while the long
-/// path runs cost one rep.
-EngineRun run_engine(const Graph& g, const AlgFactory& make, bool force_dense,
-                     congest::TelemetryMode tmode =
-                         congest::TelemetryMode::kOff,
-                     std::size_t stamp_threshold =
-                         congest::RunOptions{}.parallel_stamp_threshold,
-                     ThreadPool* pool = nullptr) {
+/// Run (fresh algorithm, fresh network) repeatedly until >= 0.2 s of
+/// engine time accumulates (50 reps cap), so the short expander/star runs
+/// are timed above clock noise while the long path runs cost one rep.
+EngineRun run_engine(const Graph& g, const AlgFactory& make, bool force_dense) {
   EngineRun out;
   congest::RunOptions opts;
   opts.force_dense = force_dense;
-  opts.parallel_stamp_threshold = stamp_threshold;
-  opts.pool = pool;
   double total_ms = 0.0;
   std::uint64_t reps = 0;
   while (reps < 50 && (reps == 0 || total_ms < 200.0)) {
     const auto alg = make(g);
     congest::Network net(g);
-    congest::Telemetry telemetry(tmode);
-    opts.telemetry = telemetry.enabled() ? &telemetry : nullptr;
     const auto t0 = std::chrono::steady_clock::now();
     auto res = net.run(*alg, opts);
     const auto t1 = std::chrono::steady_clock::now();
@@ -217,7 +204,7 @@ void run_comparison(const std::vector<Workload>& workloads,
 /// (tens of thousands of rounds that each do almost no work) — plus the
 /// expander regime, where real per-round work dilutes the overhead. The
 /// "rounds" mode is the one meant to stay on in production; CI guards its
-/// deep-path overhead at <= 5%.
+/// quick deep-path overhead at <= 8%.
 void run_telemetry_overhead(bool quick, const std::string& cache,
                             JsonReport& report) {
   banner("N2 / telemetry overhead",
@@ -283,111 +270,52 @@ void run_telemetry_overhead(bool quick, const std::string& cache,
   table.print(std::cout);
 }
 
-/// Experiment N3: the delivery stamp pass in isolation. Sparse engine both
-/// times on the messages>>n workload; the only difference is
-/// RunOptions::parallel_stamp_threshold — SIZE_MAX pins the serial stamp
-/// loop, 0 routes every non-list round through the per-worker parallel
-/// pass. Bit-identical results are enforced (the engine's contract); the
-/// speedup is what the parallel pass buys on a delivery-bound round.
-void run_parallel_stamp(bool quick, const std::string& cache,
-                        JsonReport& report) {
-  banner("N3 / parallel delivery stamping",
-         "serial vs parallel receiver stamping on the messages>>n regime "
-         "(sparse engine, batch-bfs k=256): identical results required, "
-         "speedup = serial_ms / parallel_ms.");
-  const std::string side = quick ? "40" : "70";
-  const auto spec = scenario::GraphSpec::parse("margulis:side=" + side);
-  const Graph g = cache.empty() ? scenario::Registry::instance().build(spec)
-                                : scenario::load_or_generate(spec, cache);
-  const auto make = make_batch_bfs(256);
-  // At least two workers so the parallel branch actually executes even on
-  // a single-core runner (where it measures ~1.0x, honestly); both runs
-  // share the pool so handler dispatch costs cancel out of the ratio.
-  ThreadPool pool(std::max<std::size_t>(2, ThreadPool::global().size()));
-  const auto serial =
-      run_engine(g, make, /*force_dense=*/false, congest::TelemetryMode::kOff,
-                 std::numeric_limits<std::size_t>::max(), &pool);
-  const auto par =
-      run_engine(g, make, /*force_dense=*/false, congest::TelemetryMode::kOff,
-                 /*threshold=*/0, &pool);
-  const bool identical = serial.result.rounds == par.result.rounds &&
-                         serial.result.messages == par.result.messages &&
-                         serial.result.finished == par.result.finished &&
-                         serial.result.arc_sends == par.result.arc_sends;
-  const double speedup =
-      par.ms_per_run > 0.0 ? serial.ms_per_run / par.ms_per_run : 0.0;
-  Table table({"graph", "algo", "pool", "rounds", "messages", "serial ms",
-               "parallel ms", "speedup", "identical"});
-  table.add_row({spec.to_string(), "batch-bfs k=256",
-                 Table::num(std::size_t{pool.size()}),
-                 Table::num(std::size_t{par.result.rounds}),
-                 Table::num(std::size_t{par.result.messages}),
-                 Table::num(serial.ms_per_run, 2),
-                 Table::num(par.ms_per_run, 2), Table::num(speedup, 2),
-                 identical ? "yes" : "NO"});
-  table.print(std::cout);
-  report.row()
-      .add("regime", "parallel-stamp")
-      .add("graph", spec.to_string())
-      .add("algo", "batch-bfs k=256")
-      .add("pool", std::uint64_t{pool.size()})
-      .add("n", std::uint64_t{g.node_count()})
-      .add("m", std::uint64_t{g.edge_count()})
-      .add("rounds", par.result.rounds)
-      .add("messages", par.result.messages)
-      .add("serial_stamp_ms", serial.ms_per_run)
-      .add("parallel_stamp_ms", par.ms_per_run)
-      .add("stamp_speedup", speedup)
-      .add("identical", identical);
-  if (!identical)
-    throw std::runtime_error(
-        "bench_engine: serial and parallel stamp passes disagree on " +
-        spec.to_string());
-}
-
 /// Experiment N4: composite edge-disjoint execution. A 4-part
-/// communication-free edge partition of the expander, one BFS per part —
-/// legacy kSequential (one Network per instance, k round loops) vs the
-/// default kInterleaved (ONE engine run on the block-diagonal union
-/// graph). The two modes must agree on every composite and per-instance
-/// cost; the speedup is what interleaving saves in per-run fixed costs.
-void run_composite(bool quick, const std::string& cache, JsonReport& report) {
-  banner("N4 / interleaved edge-disjoint runs",
-         "run_edge_disjoint: sequential (one engine run per instance) vs "
-         "interleaved (all instances in one engine run on the union "
-         "graph); composite + per-instance costs must be identical.");
-  const std::string side = quick ? "40" : "70";
-  const auto spec = scenario::GraphSpec::parse("margulis:side=" + side);
-  const Graph g = cache.empty() ? scenario::Registry::instance().build(spec)
-                                : scenario::load_or_generate(spec, cache);
-  constexpr std::uint32_t kParts = 4;
-  const auto partition = random_edge_partition(g, kParts, /*seed=*/0x5eed);
-
-  // One timed composite run in `mode` (fresh algorithms every rep, like
-  // run_engine), repeated until >= 0.2 s accumulates.
-  const auto run_mode = [&](congest::CompositeMode mode) {
-    std::pair<congest::CompositeResult, double> out;
-    double total_ms = 0.0;
-    std::uint64_t reps = 0;
-    while (reps < 50 && (reps == 0 || total_ms < 200.0)) {
-      std::vector<std::unique_ptr<algo::DistributedBfs>> algs;
-      std::vector<congest::EdgeDisjointInstance> work;
-      for (const auto& part : partition.parts) {
-        algs.push_back(std::make_unique<algo::DistributedBfs>(part.graph, 0));
-        work.push_back({&part, algs.back().get()});
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      auto res = congest::run_edge_disjoint(g, work, {}, mode);
-      const auto t1 = std::chrono::steady_clock::now();
-      total_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
-      out.first = std::move(res);
-      ++reps;
+/// communication-free edge partition, one instance per part — the
+/// kSequential oracle (one Network per instance, k round loops) vs the
+/// production kInterleaved mode (ONE engine run on the block-diagonal union
+/// graph). Two workloads: one BFS per part of the expander — runs of a few
+/// dozen rounds, where the union graph's Graph::from_edges build (paid on
+/// every call) outweighs the round loops it saves — and Theorem 1's
+/// production composite, a Lemma 1 PipelineBroadcast per part of perfbench's
+/// bcast-expander graph. The two modes must agree on every composite and
+/// per-instance cost; the speedup is sequential_ms / interleaved_ms, each
+/// the mode's minimum over alternating reps.
+void run_composite_row(const Graph& g, const std::string& spec,
+                       const std::string& algo, const EdgePartition& partition,
+                       const std::function<std::unique_ptr<congest::Algorithm>(
+                           std::size_t part)>& make,
+                       Table& table, JsonReport& report) {
+  // One timed composite run in `mode`, fresh algorithms every time.
+  const auto one = [&](congest::CompositeMode mode) {
+    std::vector<std::unique_ptr<congest::Algorithm>> algs;
+    std::vector<congest::EdgeDisjointInstance> work;
+    for (std::size_t i = 0; i < partition.parts.size(); ++i) {
+      algs.push_back(make(i));
+      work.push_back({&partition.parts[i], algs.back().get()});
     }
-    out.second = total_ms / static_cast<double>(reps);
-    return out;
+    const auto t0 = std::chrono::steady_clock::now();
+    auto res = congest::run_edge_disjoint(g, work, {}, mode);
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::pair(std::move(res),
+                     std::chrono::duration<double, std::milli>(t1 - t0).count());
   };
-  const auto [seq, seq_ms] = run_mode(congest::CompositeMode::kSequential);
-  const auto [inter, inter_ms] = run_mode(congest::CompositeMode::kInterleaved);
+  // Alternate the modes rep by rep, swapping which one runs first, and keep
+  // each mode's MINIMUM (as N2 does): neither mode always runs first, both
+  // see the same drift. At least 3 reps per mode; short composites repeat
+  // until about 0.2 s of sequential time (50 reps cap).
+  auto [seq, seq_ms] = one(congest::CompositeMode::kSequential);
+  auto [inter, inter_ms] = one(congest::CompositeMode::kInterleaved);
+  const auto reps = static_cast<std::uint64_t>(
+      std::clamp(200.0 / std::max(seq_ms, 1e-3), 3.0, 50.0));
+  for (std::uint64_t i = 1; i < reps; ++i) {
+    for (const bool sequential : {i % 2 == 0, i % 2 == 1}) {
+      double& best = sequential ? seq_ms : inter_ms;
+      best = std::min(best, one(sequential ? congest::CompositeMode::kSequential
+                                           : congest::CompositeMode::kInterleaved)
+                                .second);
+    }
+  }
 
   bool identical = seq.rounds == inter.rounds &&
                    seq.messages == inter.messages &&
@@ -404,19 +332,15 @@ void run_composite(bool quick, const std::string& cache, JsonReport& report) {
     }
   }
   const double speedup = inter_ms > 0.0 ? seq_ms / inter_ms : 0.0;
-  Table table({"graph", "parts", "rounds", "messages", "max congestion",
-               "sequential ms", "interleaved ms", "speedup", "identical"});
-  table.add_row({spec.to_string(), Table::num(std::size_t{kParts}),
-                 Table::num(std::size_t{inter.rounds}),
+  table.add_row({spec, algo, Table::num(std::size_t{inter.rounds}),
                  Table::num(std::size_t{inter.messages}),
                  Table::num(std::size_t{inter.max_parent_edge_congestion()}),
                  Table::num(seq_ms, 2), Table::num(inter_ms, 2),
                  Table::num(speedup, 2), identical ? "yes" : "NO"});
-  table.print(std::cout);
   report.row()
       .add("regime", "edge-disjoint composite")
-      .add("graph", spec.to_string())
-      .add("algo", "bfs x" + std::to_string(kParts))
+      .add("graph", spec)
+      .add("algo", algo)
       .add("n", std::uint64_t{g.node_count()})
       .add("m", std::uint64_t{g.edge_count()})
       .add("rounds", inter.rounds)
@@ -431,7 +355,63 @@ void run_composite(bool quick, const std::string& cache, JsonReport& report) {
     throw std::runtime_error(
         "bench_engine: sequential and interleaved composite runs disagree "
         "on " +
-        spec.to_string());
+        spec + " / " + algo);
+}
+
+void run_composite(bool quick, const std::string& cache, JsonReport& report) {
+  banner("N4 / interleaved edge-disjoint runs",
+         "run_edge_disjoint: sequential oracle (one engine run per "
+         "instance) vs production interleaved (all instances in one engine "
+         "run on the union graph); composite + per-instance costs must be "
+         "identical.");
+  Table table({"graph", "algo", "rounds", "messages", "max congestion",
+               "sequential ms", "interleaved ms", "speedup", "identical"});
+  constexpr std::uint32_t kParts = 4;
+  const auto load = [&](const std::string& text) {
+    const auto spec = scenario::GraphSpec::parse(text);
+    return std::pair(cache.empty() ? scenario::Registry::instance().build(spec)
+                                   : scenario::load_or_generate(spec, cache),
+                     spec.to_string());
+  };
+  {
+    const auto [g, spec] =
+        load(quick ? "margulis:side=40" : "margulis:side=70");
+    const auto partition = random_edge_partition(g, kParts, /*seed=*/0x5eed);
+    run_composite_row(
+        g, spec, "bfs x" + std::to_string(kParts), partition,
+        [&](std::size_t i) {
+          return std::make_unique<algo::DistributedBfs>(
+              partition.parts[i].graph, 0);
+        },
+        table, report);
+  }
+  {
+    // Theorem 1's phase 4 as run_fast_broadcast issues it: a BFS tree per
+    // part (built once, untimed) and part i owning ids [i*K, (i+1)*K).
+    const std::uint64_t k = quick ? 2048 : 4096;
+    const auto [g, spec] = load(quick ? "random_regular:n=512,d=64,seed=1"
+                                      : "random_regular:n=1024,d=64,seed=1");
+    const auto partition = random_edge_partition(g, kParts, /*seed=*/0x5eed);
+    std::vector<algo::SpanningTree> trees;
+    for (const auto& part : partition.parts)
+      trees.push_back(algo::run_bfs(part.graph, 0).tree);
+    Rng rng(0x6e34);
+    const auto msgs = random_messages(g, k, rng);
+    const std::uint64_t per_part = (k + kParts - 1) / kParts;
+    std::vector<std::vector<algo::PlacedMessage>> assigned(kParts);
+    for (const auto& m : msgs) assigned[m.id / per_part].push_back(m);
+    run_composite_row(
+        g, spec,
+        "pipeline-broadcast x" + std::to_string(kParts) +
+            " k=" + std::to_string(k),
+        partition,
+        [&](std::size_t i) {
+          return std::make_unique<algo::PipelineBroadcast>(
+              partition.parts[i].graph, trees[i], assigned[i]);
+        },
+        table, report);
+  }
+  table.print(std::cout);
 }
 
 }  // namespace
@@ -463,11 +443,10 @@ int main(int argc, char** argv) {
     report.meta("mode", quick ? "quick" : "full");
     bench::add_run_metadata(report);
     bench::run_comparison(work, cache, report);
-    // The overhead, stamp, and composite regimes use their own built-in
-    // graphs; custom --graph invocations stay a pure two-engine comparison.
+    // The overhead and composite regimes use their own built-in graphs;
+    // custom --graph invocations stay a pure two-engine comparison.
     if (custom.empty()) {
       bench::run_telemetry_overhead(quick, cache, report);
-      bench::run_parallel_stamp(quick, cache, report);
       bench::run_composite(quick, cache, report);
     }
     std::cout << "wrote " << report.write() << "\n";

@@ -47,8 +47,9 @@
 //                    after the sweep when no --graph is given
 //   --engine=<mode>  "event" (default): event-driven rounds — only nodes
 //                    with messages or a pending wakeup step. "dense": the
-//                    legacy every-node sweep. Reports are bit-identical;
-//                    only the wall time differs (see bench_engine).
+//                    every-node sweep, the differential oracle. Reports are
+//                    bit-identical; only the wall time differs (see
+//                    bench_engine).
 //   --telemetry=<m>  "off" (default), "rounds" (per-round counter series,
 //                    cheap), or "full" (adds phase timers, inbox histograms,
 //                    annotations). One recorder spans ALL runs of the

@@ -26,6 +26,8 @@
 
 namespace fc::algo {
 
+/// Scheduling: an unreached node acts only when the flood arrives, so only the
+/// frontier (plus its neighbours) pays per round.
 class DistributedBfs : public congest::Algorithm {
  public:
   DistributedBfs(const Graph& g, NodeId root);
@@ -34,9 +36,6 @@ class DistributedBfs : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: an unreached node acts only when the flood arrives, so
-  /// only the frontier (plus its neighbours) pays per round.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -84,6 +83,9 @@ class DistributedBfs : public congest::Algorithm {
 /// The final distances are exact BFS distances for every source —
 /// identical to k independent DistributedBfs runs — and deterministic at
 /// every thread count. Terminates by quiescence.
+///
+/// Scheduling: a node with a non-empty announcement FIFO requests a wakeup
+/// after each send, so the backlog drains without dense sweeps.
 class BatchBfs : public congest::Algorithm {
  public:
   /// `sources[i]` is the root of query i. Throws std::invalid_argument when
@@ -95,9 +97,6 @@ class BatchBfs : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node with a non-empty announcement FIFO requests a
-  /// wakeup after each send, so the backlog drains without dense sweeps.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }

@@ -178,13 +178,15 @@ bool ForestEcho::done() const {
 
 AggregateOutcome aggregate_over_tree(const Graph& g, const SpanningTree& tree,
                                      AggregateOp op,
-                                     std::vector<std::uint64_t> values) {
+                                     std::vector<std::uint64_t> values,
+                                     const congest::RunOptions& opts) {
   congest::Network net(g);
   Convergecast alg(g, tree, op, std::move(values));
-  const auto res = net.run(alg);
+  const auto res = net.run(alg, opts);
   AggregateOutcome out;
   out.rounds = res.rounds;
   out.value = alg.result(tree.root);
+  out.cancelled = res.cancelled;
   return out;
 }
 

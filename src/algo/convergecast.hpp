@@ -24,6 +24,8 @@ namespace fc::algo {
 
 enum class AggregateOp { kMin, kMax, kSum };
 
+/// Scheduling: progress is strictly receive-driven after the leaves' round-0
+/// reports (done() counts completions, not quiescence).
 class Convergecast : public congest::Algorithm {
  public:
   /// `values[v]` is node v's local input.
@@ -34,9 +36,6 @@ class Convergecast : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: progress is strictly receive-driven after the leaves'
-  /// round-0 reports (done() counts completions, not quiescence).
-  bool event_driven() const override { return true; }
 
   /// The aggregate as known by node v (valid once done()).
   std::uint64_t result(NodeId v) const { return result_[v]; }
@@ -88,6 +87,9 @@ using EchoValue = std::pair<std::uint64_t, std::uint64_t>;
 /// neither sends nor expects messages — the caller must keep every tree
 /// component uniformly active or inactive (apps/mst uses this to keep
 /// finished fragments quiet).
+///
+/// Scheduling: saturation and resolution waves are receive-driven; decided and
+/// inactive nodes never run again.
 class ForestEcho : public congest::Algorithm {
  public:
   /// `g`, `tree_arc`, and `inactive` (when given) must outlive the run —
@@ -100,9 +102,6 @@ class ForestEcho : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: saturation and resolution waves are receive-driven;
-  /// decided and inactive nodes never run again.
-  bool event_driven() const override { return true; }
 
   /// The component minimum as known by node v (valid once done()).
   const EchoValue& result(NodeId v) const { return acc_[v]; }
@@ -123,14 +122,18 @@ class ForestEcho : public congest::Algorithm {
   NodeId n_;
 };
 
-/// Convenience wrapper: build a BFS tree from `root`, aggregate, and return
-/// the result plus total rounds (BFS + convergecast).
+/// Convenience wrapper: run one Convergecast over the given spanning tree
+/// (the caller builds it, e.g. with run_bfs) and return the root's
+/// aggregate plus the convergecast's rounds. `value` is valid only when the
+/// run was not cancelled.
 struct AggregateOutcome {
   std::uint64_t value = 0;
   std::uint64_t rounds = 0;
+  bool cancelled = false;
 };
 AggregateOutcome aggregate_over_tree(const Graph& g, const SpanningTree& tree,
                                      AggregateOp op,
-                                     std::vector<std::uint64_t> values);
+                                     std::vector<std::uint64_t> values,
+                                     const congest::RunOptions& opts = {});
 
 }  // namespace fc::algo

@@ -17,6 +17,10 @@
 
 namespace fc::algo {
 
+/// Scheduling: purely message-driven — a node acts only when a child count or a
+/// parent range arrives (send_up_if_ready re-fires only on the step that
+/// retired the last waiting child), so the empty-inbox step is already a no-op
+/// and no wakeups are needed.
 class IdAssignment : public congest::Algorithm {
  public:
   IdAssignment(const Graph& g, const SpanningTree& tree,
@@ -26,11 +30,6 @@ class IdAssignment : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Purely message-driven: a node acts only when a child count or a
-  /// parent range arrives (send_up_if_ready re-fires only on the step
-  /// that retired the last waiting child), so the empty-inbox step is
-  /// already a no-op and no wakeups are needed.
-  bool event_driven() const override { return true; }
 
   /// First id assigned to node v's items (valid once done()).
   std::uint64_t first_id(NodeId v) const { return first_[v]; }

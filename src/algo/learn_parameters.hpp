@@ -21,10 +21,17 @@ struct LearnedParameters {
   std::uint32_t min_degree = 0;
   std::uint64_t node_count = 0;
   std::uint64_t rounds = 0;  // total CONGEST rounds spent (BFS + 2 aggregates)
+  /// An engine run was cut by an expired RunOptions::cancel token: the
+  /// pipeline stopped there, `rounds` covers the work up to the cut, and
+  /// the learned values are not valid.
+  bool cancelled = false;
 };
 
 /// Run the full Lemma 4 pipeline on `g` starting from `root`:
-/// build a BFS tree, then aggregate min-degree and node count.
-LearnedParameters learn_parameters(const Graph& g, NodeId root);
+/// build a BFS tree, then aggregate min-degree and node count. `opts`
+/// reaches all three engine runs; a non-empty `opts.faults` throws
+/// std::invalid_argument before any run.
+LearnedParameters learn_parameters(const Graph& g, NodeId root,
+                                   const congest::RunOptions& opts = {});
 
 }  // namespace fc::algo

@@ -93,18 +93,15 @@ bool PipelineBroadcast::done() const {
 }
 
 BroadcastOutcome broadcast_via_tree(const Graph& g, NodeId root,
-                                    std::vector<PlacedMessage> messages,
-                                    std::uint64_t max_rounds) {
+                                    std::vector<PlacedMessage> messages) {
   BroadcastOutcome out;
-  congest::RunOptions opts;
-  opts.max_rounds = max_rounds;
-  auto bfs = run_bfs(g, root, opts);
+  auto bfs = run_bfs(g, root);
   out.rounds += bfs.cost.rounds;
   out.messages += bfs.cost.messages;
 
   congest::Network net(g);
   PipelineBroadcast alg(g, bfs.tree, std::move(messages));
-  const auto res = net.run(alg, opts);
+  const auto res = net.run(alg);
   out.rounds += res.rounds;
   out.messages += res.messages;
   out.max_edge_congestion = res.max_edge_congestion(g);

@@ -38,6 +38,9 @@ inline std::uint64_t message_digest(std::uint64_t id, std::uint64_t payload) {
   return mix64(id, payload, 0x9d8f3afc1c5ed21bULL);
 }
 
+/// Scheduling: a node with queued items keeps itself scheduled via
+/// request_wakeup (one item per pipeline per round); everyone else runs only
+/// when a relay arrives.
 class PipelineBroadcast : public congest::Algorithm {
  public:
   PipelineBroadcast(const Graph& g, const SpanningTree& tree,
@@ -47,10 +50,6 @@ class PipelineBroadcast : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node with queued items keeps itself scheduled via
-  /// request_wakeup (one item per pipeline per round); everyone else runs
-  /// only when a relay arrives.
-  bool event_driven() const override { return true; }
 
   std::uint64_t k() const { return k_; }
   std::uint64_t received_count(NodeId v) const { return received_[v]; }
@@ -80,6 +79,7 @@ class PipelineBroadcast : public congest::Algorithm {
 
 /// Run Lemma 1 end to end on `g`: build a BFS tree from `root`, broadcast
 /// the messages, and report total rounds (BFS + broadcast) and congestion.
+/// Both engine runs use default RunOptions.
 struct BroadcastOutcome {
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;
@@ -87,7 +87,6 @@ struct BroadcastOutcome {
   bool complete = false;
 };
 BroadcastOutcome broadcast_via_tree(const Graph& g, NodeId root,
-                                    std::vector<PlacedMessage> messages,
-                                    std::uint64_t max_rounds = 10'000'000);
+                                    std::vector<PlacedMessage> messages);
 
 }  // namespace fc::algo

@@ -38,6 +38,8 @@
 
 namespace fc::apps {
 
+/// Scheduling: a node with a non-empty announcement FIFO requests a wakeup
+/// after each send, so the backlog drains without dense sweeps.
 class BatchBellmanFord : public congest::Algorithm {
  public:
   /// `sources[i]` is the source of query i. Throws std::invalid_argument
@@ -49,9 +51,6 @@ class BatchBellmanFord : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node with a non-empty announcement FIFO requests a
-  /// wakeup after each send, so the backlog drains without dense sweeps.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }

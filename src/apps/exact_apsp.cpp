@@ -15,6 +15,13 @@ constexpr std::uint32_t kTagWave = 20;
 /// The delayed-BFS phase as a CONGEST algorithm. Sources wake at 2π(u);
 /// every node relays each newly learned (source, dist) pair to all
 /// neighbours, one pair per round (FIFO).
+///
+/// Scheduling, via a wakeup chain: a node keeps itself scheduled while its
+/// round-2π(v) source timer is still pending (request_wakeup has no target
+/// round, so the chain ticks every round until the timer fires) or while its
+/// relay queue holds undelivered pairs. After that it runs only when a wave
+/// arrives. The chain's total activations are O(n) per node — the same order as
+/// the waves themselves.
 class DelayedBfs : public congest::Algorithm {
  public:
   DelayedBfs(const Graph& g, std::vector<std::uint32_t> pi)
@@ -53,13 +60,6 @@ class DelayedBfs : public congest::Algorithm {
     return filled_.load(std::memory_order_relaxed) ==
            static_cast<std::uint64_t>(n_) * n_;
   }
-  // Event-driven via a wakeup chain: a node keeps itself scheduled while
-  // its round-2π(v) source timer is still pending (request_wakeup has no
-  // target round, so the chain ticks every round until the timer fires)
-  // or while its relay queue holds undelivered pairs. After that it runs
-  // only when a wave arrives. The chain's total activations are O(n) per
-  // node — the same order as the waves themselves.
-  bool event_driven() const override { return true; }
 
  private:
   struct Pending {
@@ -104,12 +104,8 @@ class DelayedBfs : public congest::Algorithm {
 
 }  // namespace
 
-ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root) {
-  return exact_apsp_distributed(g, dfs_root, congest::RunOptions{});
-}
-
 ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root,
-                                       congest::RunOptions engine_opts) {
+                                       const congest::RunOptions& opts) {
   if (!is_connected(g))
     throw std::invalid_argument("exact_apsp: disconnected graph");
   ExactApspReport report;
@@ -122,9 +118,9 @@ ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root,
 
   congest::Network net(g);
   DelayedBfs alg(g, pi);
-  congest::RunOptions opts = engine_opts;
-  opts.max_rounds = 10ull * g.node_count() + 64;
-  const auto res = net.run(alg, opts);
+  congest::RunOptions bounded = opts;
+  bounded.max_rounds = 10ull * g.node_count() + 64;
+  const auto res = net.run(alg, bounded);
   if (!res.finished)
     throw std::runtime_error("exact_apsp: delayed BFS did not converge");
   report.bfs_rounds = res.rounds;

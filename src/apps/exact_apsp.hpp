@@ -34,13 +34,10 @@ struct ExactApspReport {
   std::size_t max_queue = 0;      // 1 iff the PRT12 property held exactly
 };
 
-/// Run the distributed exact APSP on a connected graph.
-ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root = 0);
-
-/// Same, with engine knobs exposed (force_dense, pool, ...) so the
-/// dense-vs-sparse differential tests can drive the real entry point.
-/// `engine_opts.max_rounds` is overridden by the algorithm's own bound.
-ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root,
-                                       congest::RunOptions engine_opts);
+/// Run the distributed exact APSP on a connected graph. `opts` reaches the
+/// delayed-BFS engine run, except `max_rounds`, which the algorithm's own
+/// bound replaces.
+ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root = 0,
+                                       const congest::RunOptions& opts = {});
 
 }  // namespace fc::apps

@@ -28,6 +28,10 @@ constexpr MoeKey kNoMoe{kInfWeight, kInvalidEdge};
 /// rounds; `silenced` nodes (finished fragments, kConvergecast mode only)
 /// skip the announce, and since a finished fragment has no outgoing edges,
 /// their neighbours are silenced too — the component costs nothing.
+///
+/// Scheduling: only announcement receivers act in round 1; the two-round clock
+/// lives in round_started so silent components (and the sparse engine's idle
+/// rounds) cannot stall done().
 class AnnouncePhase : public congest::Algorithm {
  public:
   AnnouncePhase(const WeightedGraph& g, const std::vector<NodeId>& frag,
@@ -70,10 +74,6 @@ class AnnouncePhase : public congest::Algorithm {
   bool done() const override {
     return last_round_.load(std::memory_order_relaxed) >= 1;
   }
-  /// Event-driven: only announcement receivers act in round 1; the
-  /// two-round clock lives in round_started so silent components (and the
-  /// sparse engine's idle rounds) cannot stall done().
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     last_round_.store(round, std::memory_order_relaxed);
   }
@@ -130,7 +130,6 @@ class MoeFloodPhase : public congest::Algorithm {
   }
 
   bool done() const override { return quiescence_.quiescent(); }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -179,7 +178,6 @@ class ConnectPhase : public congest::Algorithm {
   bool done() const override {
     return last_round_.load(std::memory_order_relaxed) >= 1;
   }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     last_round_.store(round, std::memory_order_relaxed);
   }
@@ -233,7 +231,6 @@ class MergeFloodPhase : public congest::Algorithm {
   }
 
   bool done() const override { return quiescence_.quiescent(); }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }

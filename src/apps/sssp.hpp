@@ -25,6 +25,8 @@
 
 namespace fc::apps {
 
+/// Scheduling: a node re-announces only after an inbox-driven relaxation, so
+/// only the active wavefront pays per round.
 class DistributedBellmanFord : public congest::Algorithm {
  public:
   DistributedBellmanFord(const WeightedGraph& g, NodeId source);
@@ -33,9 +35,6 @@ class DistributedBellmanFord : public congest::Algorithm {
   void start(congest::Context& ctx) override;
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node re-announces only after an inbox-driven
-  /// relaxation, so only the active wavefront pays per round.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }

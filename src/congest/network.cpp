@@ -1,7 +1,6 @@
 #include "congest/network.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 namespace fc::congest {
@@ -226,7 +225,7 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     fault_queue_.clear();
   }
 
-  const bool sparse = alg.event_driven() && !opts.force_dense;
+  const bool sparse = !opts.force_dense;
   ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::global();
   const std::size_t workers = pool.size();
   thread_recv_.assign(workers, {});
@@ -246,8 +245,8 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
 
   RunResult result;
   std::uint64_t round = 0;
-  // Round 0 runs start() on every node in both engines; sweep_next is the
-  // strategy the NEXT sparse round will use, chosen during delivery.
+  // Round 0 runs start() on every node under both schedules; sweep_next is
+  // the strategy the NEXT sparse round will use, chosen during delivery.
   Sweep sweep_next = Sweep::kAll;
   // Telemetry carry: messages delivered this round == sent last round;
   // nodes with input this round were counted during last round's delivery.
@@ -284,102 +283,40 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     // from the per-worker receiver lists, then flip the buffer halves.
     // The sweep decision is made up front from the sent + wakeup upper
     // bound on next round's active count: when >= 1/8 of the graph will
-    // run anyway, stamping is a plain store (dense-equal delivery cost)
-    // and the round sweeps in node order; only genuinely sparse rounds
-    // pay the dedup branch that builds the active list.
+    // run anyway the round sweeps in node order, and only genuinely sparse
+    // rounds append to the active list. `fresh` (the node's first stamp
+    // this round) is the list's dedup, and summing it without a branch
+    // gives the telemetry's unique-receiver count, so one loop serves
+    // every round. Rounds that need neither store the stamp without
+    // reading it: the read alone cost ~10% of Theorem 1's Lemma 1
+    // composite at pool 4 (4-vCPU VM).
     const std::uint64_t next = round + 1;
     std::size_t sent = 0, woken = 0;
     for (const auto& list : thread_recv_) sent += list.size();
-    if (record_wakeups)
-      for (const auto& list : thread_wakeup_) woken += list.size();
+    for (const auto& list : thread_wakeup_) woken += list.size();
     messages_ += sent;
     in_flight = sent;
     std::uint64_t receivers = 0;  // unique message receivers (telemetry)
     const bool build_list = sparse && (sent + woken) * 8 < n;
     sweep_next = build_list ? Sweep::kActiveList : Sweep::kActiveScan;
-    if (build_list) {
-      active_.clear();
-      for (auto& list : thread_recv_) {
-        for (const NodeId to : list) {
-          if (sched_stamp_[to] != next) {
-            sched_stamp_[to] = next;
-            active_.push_back(to);
-            ++receivers;
-          }
-        }
-        list.clear();
+    const bool dedup = build_list || tele_ != nullptr;
+    active_.clear();
+    for (auto& list : thread_recv_) {
+      for (const NodeId to : list) {
+        const bool fresh = dedup && sched_stamp_[to] != next;
+        sched_stamp_[to] = next;
+        receivers += fresh;
+        if (build_list && fresh) active_.push_back(to);
       }
-      for (auto& list : thread_wakeup_) {
-        for (const NodeId v : list) {
-          if (sched_stamp_[v] != next) {
-            sched_stamp_[v] = next;
-            active_.push_back(v);
-          }
-        }
-        list.clear();
+      list.clear();
+    }
+    for (auto& list : thread_wakeup_) {
+      for (const NodeId v : list) {
+        const bool fresh = build_list && sched_stamp_[v] != next;
+        sched_stamp_[v] = next;
+        if (fresh) active_.push_back(v);
       }
-    } else if (workers > 1 && sent >= opts.parallel_stamp_threshold) {
-      // Parallel stamp: pool workers split the per-worker receiver lists.
-      // Every writer of one stamp writes the same value `next`, so relaxed
-      // atomic stores are enough; when telemetry wants the unique-receiver
-      // count, the first writer CAS-claims the stamp, counting each
-      // receiver exactly once — the size of a set, identical under every
-      // interleaving and pool size. Wakeup stamps follow serially (they
-      // are bounded by n, not messages) so that, as in the serial branch,
-      // a node that is both woken and a receiver counts as a receiver.
-      std::vector<std::uint64_t> uniq(tele_ != nullptr ? workers : 0, 0);
-      const bool want_receivers = tele_ != nullptr;
-      pool.parallel_chunks(
-          workers, [&](std::size_t w, std::size_t begin, std::size_t end) {
-            std::uint64_t mine = 0;
-            for (std::size_t li = begin; li < end; ++li) {
-              for (const NodeId to : thread_recv_[li]) {
-                std::atomic_ref<std::uint64_t> stamp(sched_stamp_[to]);
-                if (!want_receivers) {
-                  stamp.store(next, std::memory_order_relaxed);
-                  continue;
-                }
-                std::uint64_t seen = stamp.load(std::memory_order_relaxed);
-                while (seen != next &&
-                       !stamp.compare_exchange_weak(
-                           seen, next, std::memory_order_relaxed)) {
-                }
-                if (seen != next) ++mine;  // this worker claimed the stamp
-              }
-            }
-            if (want_receivers) uniq[w] = mine;
-          });
-      for (auto& list : thread_recv_) list.clear();
-      for (auto& list : thread_wakeup_) {
-        for (const NodeId v : list) sched_stamp_[v] = next;
-        list.clear();
-      }
-      for (const std::uint64_t u : uniq) receivers += u;
-    } else if (tele_ != nullptr) {
-      // Telemetry needs the unique-receiver count, so the stamp pass pays
-      // the dedup branch the plain path below avoids.
-      for (auto& list : thread_recv_) {
-        for (const NodeId to : list) {
-          if (sched_stamp_[to] != next) {
-            sched_stamp_[to] = next;
-            ++receivers;
-          }
-        }
-        list.clear();
-      }
-      for (auto& list : thread_wakeup_) {
-        for (const NodeId v : list) sched_stamp_[v] = next;
-        list.clear();
-      }
-    } else {
-      for (auto& list : thread_recv_) {
-        for (const NodeId to : list) sched_stamp_[to] = next;
-        list.clear();
-      }
-      for (auto& list : thread_wakeup_) {
-        for (const NodeId v : list) sched_stamp_[v] = next;
-        list.clear();
-      }
+      list.clear();
     }
     write_off_ = arcs_ - write_off_;
     const std::uint64_t t2 = timing ? Telemetry::now_ns() : 0;

@@ -17,12 +17,7 @@
 //    the flat slot array receives this round's sends while handlers read
 //    last round's half. End-of-round delivery is an O(1) offset flip plus
 //    an O(messages) pass over the per-worker receiver lists that stamps
-//    each receiver; nothing is copied, merged, or sorted. Once a round's
-//    send volume crosses RunOptions::parallel_stamp_threshold the stamp
-//    pass itself runs on the pool — receiver stamps become relaxed atomic
-//    stores (every writer writes the same round number, so the value is
-//    well-defined under any interleaving), which keeps the messages >> n
-//    regime at memory bandwidth instead of single-core store throughput.
+//    each receiver; nothing is copied, merged, or sorted.
 //  * A node's inbox is materialized on the worker thread that runs its
 //    handler, by scanning the node's contiguous arc range for full
 //    reverse-arc slots (skipped entirely when the receiver stamp says the
@@ -30,11 +25,11 @@
 //    order — the determinism contract every algorithm's tie-breaking rests
 //    on — comes for free, and consuming a slot clears its flag, so the
 //    read half is clean again by the time the next flip reuses it.
-//  * Algorithms that declare event_driven() run SPARSE: step() executes
-//    only for nodes with a non-empty inbox or a pending request_wakeup(),
-//    so a round costs O(sum of active nodes' degrees), not O(n + m).
-//    Legacy algorithms (event_driven() == false) keep the dense sweep —
-//    step() on all n nodes — with the same zero-copy delivery.
+//  * Every algorithm runs SPARSE: step() executes only for nodes with a
+//    non-empty inbox or a pending request_wakeup(), so a round costs
+//    O(sum of active nodes' degrees), not O(n + m). RunOptions::force_dense
+//    selects the dense sweep — step() on all n nodes, same zero-copy
+//    delivery — as the differential oracle of that schedule.
 //  * Handlers run in parallel on a thread pool (RunOptions::pool; a
 //    1-thread pool is the serial run) once enough nodes are active; each
 //    handler writes only its own node's state and its own outgoing slots,
@@ -102,10 +97,9 @@ class Context {
   void send(ArcId via, const Message& m);
 
   /// Schedule this node to run next round even if it receives nothing —
-  /// the event-driven engine's knob for spontaneous activity (backlogs,
-  /// timers). A node that neither receives nor requested a wakeup is NOT
-  /// stepped under the sparse engine. No-op under the dense sweep, where
-  /// every node runs anyway.
+  /// the engine's knob for spontaneous activity (backlogs, timers). A node
+  /// that neither receives nor requested a wakeup is NOT stepped. No-op
+  /// under the force_dense sweep, where every node runs anyway.
   void request_wakeup();
 
   /// Composite-algorithm support (congest::run_edge_disjoint): a view of
@@ -155,23 +149,23 @@ class Algorithm {
 
   /// Round 0: called once per node before any delivery; may send.
   virtual void start(Context& ctx) = 0;
-  /// Rounds >= 1: called once per node with that node's inbox; may send.
+  /// Rounds >= 1: called for the nodes with a non-empty inbox or a pending
+  /// Context::request_wakeup() from last round; may send. Contract, for
+  /// every algorithm: step() on a node with an empty inbox that requested
+  /// no wakeup must be a pure no-op — no sends, no state change, nothing
+  /// done() can observe — because the engine does not call it, while the
+  /// RunOptions::force_dense oracle calls it on every node every round.
+  /// Per-round bookkeeping (e.g. QuiescenceDetector::note_round) therefore
+  /// lives in round_started(), which fires even on rounds where no node
+  /// runs.
   virtual void step(Context& ctx) = 0;
   /// Global termination oracle, checked (single-threaded) after each round.
   /// This models the standard simulator convention: the paper's algorithms
   /// all have known round bounds, so termination detection is free.
   virtual bool done() const = 0;
 
-  /// Event-driven capability (opt-in). When true, the engine steps only
-  /// nodes with a non-empty inbox or a pending Context::request_wakeup().
-  /// Contract: step() on a node with an empty inbox must be a pure no-op —
-  /// no sends, no state change, nothing done() can observe — unless the
-  /// node requested a wakeup last round. Per-round bookkeeping (e.g.
-  /// QuiescenceDetector::note_round) must live in round_started(), which
-  /// fires even on rounds where no node runs.
-  virtual bool event_driven() const { return false; }
   /// Called once per round, single-threaded, before any handler of that
-  /// round (round 0 included), under BOTH engines.
+  /// round (round 0 included), under both schedules.
   virtual void round_started(std::uint64_t round) { (void)round; }
 };
 
@@ -182,23 +176,15 @@ class Algorithm {
 struct RunOptions {
   /// Round cap per run(); a run that hits it reports finished == false.
   std::uint64_t max_rounds = 10'000'000;
-  /// Force the legacy dense sweep (step every node every round) even for
-  /// event_driven() algorithms — the differential-test and baseline knob.
+  /// Step every node every round (the dense sweep) instead of only the
+  /// scheduled ones — the differential oracle of the Algorithm::step
+  /// contract and the baseline of bench_engine's N1 rows.
   bool force_dense = false;
   /// Pool for the handler rounds; null selects ThreadPool::global(). The
   /// run is bit-identical for every pool size by construction; a 1-thread
-  /// pool runs every handler and the delivery pass on the calling thread.
+  /// pool runs every handler on the calling thread. Delivery is always
+  /// one serial pass on the calling thread.
   ThreadPool* pool = nullptr;
-  /// Delivery goes parallel once a round sends at least this many messages:
-  /// below it the serial stamp loop wins (no pool dispatch), above it the
-  /// per-worker receiver lists are stamped concurrently with relaxed atomic
-  /// stores (CAS-claimed when telemetry needs the unique-receiver count).
-  /// Rounds that build an active list (< n/8 activity) always stamp
-  /// serially — they are cheap by definition and keep the list's
-  /// construction order pool-independent. Results are bit-identical either
-  /// way; the knob exists for benchmarks (SIZE_MAX = measure the serial
-  /// pass) and tests (small = force the parallel pass on tiny graphs).
-  std::size_t parallel_stamp_threshold = 4096;
   /// Telemetry recorder — the one way to attach one (null or kOff = record
   /// nothing, the hot paths keep a single null-check). The recorder may be
   /// shared across several run() calls to build one multi-span trace; the
@@ -213,7 +199,7 @@ struct RunOptions {
   /// counts. See congest/faults.hpp for the exact semantics per kind.
   const FaultPlan* faults = nullptr;
   /// Cooperative cancellation/deadline token, checked once at the top of
-  /// every round under BOTH engines (null = one branch per round, like
+  /// every round under both schedules (null = one branch per round, like
   /// telemetry kOff). An expired token truncates the run before the next
   /// round starts: RunResult::cancelled is set, `finished` stays false, and
   /// in-flight sends land in `undelivered`. See congest/cancel.hpp.

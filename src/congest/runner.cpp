@@ -33,19 +33,11 @@ class InterleavedComposite final : public Algorithm {
         arc_base_(std::move(arc_base)),
         inst_of_node_(std::move(inst_of_node)),
         finished_(work.size(), 0),
-        finish_round_(work.size(), 0) {
-    for (const auto& inst : work_)
-      event_driven_ = event_driven_ && inst.algorithm->event_driven();
-  }
+        finish_round_(work.size(), 0) {}
 
   std::string name() const override {
     return "edge-disjoint[" + std::to_string(work_.size()) + "]";
   }
-
-  // The union run is event-driven only when every instance is; one dense
-  // holdout forces the whole composite dense (its nodes must step every
-  // round, and blocks share the engine's sweep).
-  bool event_driven() const override { return event_driven_; }
 
   void round_started(std::uint64_t round) override {
     cur_round_ = round;
@@ -96,7 +88,6 @@ class InterleavedComposite final : public Algorithm {
   std::vector<NodeId> node_base_;
   std::vector<ArcId> arc_base_;
   std::vector<std::uint32_t> inst_of_node_;
-  bool event_driven_ = true;
   std::uint64_t cur_round_ = 0;
   // Written only from done()/round_started() (single-threaded, between
   // rounds); handlers read finished_ during rounds — ordered by the pool's

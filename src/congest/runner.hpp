@@ -13,11 +13,14 @@
 // instance's block mirrors its subgraph's CSR at a fixed node/arc offset
 // (Graph::from_edges lays arcs out in input-edge order, so the offsets are
 // exact), which makes the per-instance translation pure arithmetic:
-// Context::block_view. kSequential keeps the legacy one-Network-per-
-// instance execution; the two modes are bit-identical in composite rounds,
-// messages, parent congestion, and per-instance rounds/finished/arc_sends
-// (the differential tests hold them to that). Edge-disjointness is
-// verified, not assumed.
+// Context::block_view. kInterleaved is the production mode: it beats one
+// run per instance on Theorem 1's per-part Lemma 1 pipelines (bench_engine
+// N4; docs/ARCHITECTURE.md "Round engine" has the numbers). kSequential —
+// one Network per instance, one after another — is its differential
+// oracle, not a production path: the two modes are bit-identical in
+// composite rounds, messages, parent congestion, and per-instance
+// rounds/finished/arc_sends (the differential tests and bench_engine's N4
+// rows hold them to that). Edge-disjointness is verified, not assumed.
 //
 // Costs combine the same way in both modes: rounds = max over instances
 // (they run concurrently), messages = sum, and per-parent-edge congestion
@@ -87,11 +90,11 @@ struct EdgeDisjointInstance {
 
 /// How run_edge_disjoint executes its instances.
 enum class CompositeMode : std::uint8_t {
-  /// One engine run on the block-diagonal union graph; event-driven when
-  /// every instance is. The default: k instances pay one round loop.
+  /// One engine run on the block-diagonal union graph. The default: k
+  /// instances pay one round loop.
   kInterleaved,
-  /// Legacy: each instance on its own Network, one after another. Kept
-  /// selectable as the differential baseline for the interleaved mode.
+  /// Each instance on its own Network, one after another: the
+  /// differential oracle of the interleaved mode.
   kSequential,
 };
 

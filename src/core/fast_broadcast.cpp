@@ -220,8 +220,10 @@ FastBroadcastReport run_fast_broadcast_oblivious(
   if (report.cancelled) return finish(report);
 
   // Lemma 4 (δ only): one convergecast over the parent BFS tree.
-  const auto learned = algo::learn_parameters(g, setup.root);
+  const auto learned = algo::learn_parameters(g, setup.root, opts);
   report.setup_rounds += learned.rounds;
+  report.cancelled = learned.cancelled;
+  if (report.cancelled) return finish(report);
   const std::uint32_t delta = learned.min_degree;
 
   // Exponential search: λ̃ = δ, δ/2, ... Validate with the O((n log n)/δ)

@@ -22,12 +22,11 @@
 namespace fc::core {
 
 /// The engine knobs apply to every engine run of the broadcast — setup,
-/// per-part BFS, per-part Lemma 1 pipeline, oblivious probes — except the
-/// oblivious variant's O(D) δ-learning (algo::learn_parameters, which
-/// takes no options and so always yields a true δ). A cancelled run stops
-/// the broadcast (FastBroadcastReport::cancelled). A non-empty fault plan
-/// is rejected with std::invalid_argument before any run: the phases are
-/// separate engine runs with no single fault clock.
+/// the oblivious variant's Lemma 4 δ-learning, per-part BFS, per-part
+/// Lemma 1 pipeline, oblivious probes. A cancelled run stops the broadcast
+/// (FastBroadcastReport::cancelled). A non-empty fault plan is rejected
+/// with std::invalid_argument before any run: the phases are separate
+/// engine runs with no single fault clock.
 struct FastBroadcastOptions : congest::RunOptions {
   double C = 2.0;           // Theorem 2 constant
   std::uint64_t seed = 1;   // shared randomness

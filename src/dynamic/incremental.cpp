@@ -42,7 +42,6 @@ class LabelCorrect final : public congest::Algorithm {
   std::string name() const override {
     return wg_ != nullptr ? "dynamic/sssp" : "dynamic/bfs";
   }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }

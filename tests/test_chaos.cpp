@@ -55,17 +55,15 @@ namespace {
 /// the top of round K+1: RunResult::rounds == K+1, exactly.
 class EndlessChatter : public Algorithm {
  public:
-  EndlessChatter(CancelToken* token, std::uint64_t cancel_at,
-                 bool event_driven = false)
-      : token_(token), cancel_at_(cancel_at), event_driven_(event_driven) {}
+  EndlessChatter(CancelToken* token, std::uint64_t cancel_at)
+      : token_(token), cancel_at_(cancel_at) {}
   std::string name() const override { return "endless-chatter"; }
   void start(Context& ctx) override { blast(ctx); }
   void step(Context& ctx) override {
-    if (ctx.inbox().empty()) return;  // sparse contract: empty inbox no-op
+    if (ctx.inbox().empty()) return;  // step contract: empty inbox no-op
     blast(ctx);
   }
   bool done() const override { return false; }
-  bool event_driven() const override { return event_driven_; }
   void round_started(std::uint64_t round) override {
     if (token_ != nullptr && round == cancel_at_) token_->cancel();
   }
@@ -77,7 +75,6 @@ class EndlessChatter : public Algorithm {
   }
   CancelToken* token_;
   std::uint64_t cancel_at_;
-  bool event_driven_;
 };
 
 std::uint64_t delivered_sum(const Telemetry& tele) {
@@ -98,7 +95,7 @@ TEST(EngineCancel, FlagStopsAtRoundBoundaryOnBothEnginesAllPools) {
       ThreadPool tp(threads);
       Network net(g);
       CancelToken token;
-      EndlessChatter alg(&token, kCancelAt, !dense);
+      EndlessChatter alg(&token, kCancelAt);
       Telemetry tele(TelemetryMode::kRounds);
       RunOptions opts;
       opts.max_rounds = 1000;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "algo/learn_parameters.hpp"
 #include "graph/generators.hpp"
@@ -211,6 +213,63 @@ TEST(LearnParameters, IrregularGraph) {
   const auto learned = learn_parameters(g, 3);
   EXPECT_EQ(learned.min_degree, 5u);  // clique node of degree 5
   EXPECT_EQ(learned.node_count, 12u);
+}
+
+TEST(LearnParameters, CancelledBfsEndsThePipelineInsteadOfThrowing) {
+  // A BFS cut before round 0 reaches only its root. The convergecasts must
+  // not start on that partial tree (Convergecast rejects a non-spanning
+  // tree); the pipeline reports the cut instead.
+  const Graph g = gen::cycle(16);
+  congest::CancelToken token;
+  token.cancel();
+  congest::RunOptions opts;
+  opts.cancel = &token;
+  LearnedParameters learned;
+  EXPECT_NO_THROW(learned = learn_parameters(g, 0, opts));
+  EXPECT_TRUE(learned.cancelled);
+  EXPECT_EQ(learned.rounds, 0u);
+
+  // A live token changes nothing.
+  congest::CancelToken live;
+  opts.cancel = &live;
+  const auto uncut = learn_parameters(g, 0, opts);
+  const auto plain = learn_parameters(g, 0);
+  EXPECT_FALSE(uncut.cancelled);
+  EXPECT_EQ(uncut.min_degree, 2u);
+  EXPECT_EQ(uncut.node_count, 16u);
+  EXPECT_EQ(uncut.rounds, plain.rounds);
+}
+
+TEST(LearnParameters, FaultPlansAreRejectedBeforeAnyRun) {
+  // The BFS and the two aggregates are three engine runs, each starting at
+  // round 0, so a plan has no single clock to run on. It is rejected up
+  // front: a round-0 crash must not surface as the Convergecast "tree does
+  // not span" error, and a late fault must not be silently ignored.
+  const Graph g = gen::cycle(16);
+  const auto expect_rejected = [&g](const congest::FaultPlan& plan) {
+    congest::RunOptions opts;
+    opts.faults = &plan;
+    try {
+      learn_parameters(g, 0, opts);
+      ADD_FAILURE() << "plan accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("fault plans"), std::string::npos)
+          << e.what();
+    }
+  };
+  congest::FaultPlan crash;
+  crash.crash_node(0, 5);
+  expect_rejected(crash);
+  congest::FaultPlan late;
+  late.drop_edge(1'000'000, 0);
+  expect_rejected(late);
+
+  const congest::FaultPlan none;  // an empty plan is no plan
+  congest::RunOptions opts;
+  opts.faults = &none;
+  const auto learned = learn_parameters(g, 0, opts);
+  EXPECT_EQ(learned.min_degree, 2u);
+  EXPECT_EQ(learned.node_count, 16u);
 }
 
 }  // namespace

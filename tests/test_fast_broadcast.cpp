@@ -5,6 +5,7 @@
 #include <chrono>
 #include <thread>
 
+#include "congest/telemetry.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "lb/bit_meter.hpp"
@@ -223,6 +224,29 @@ TEST(FastBroadcastOblivious, FindsWorkingLambdaOnDumbbell) {
   EXPECT_EQ(report.parts, 1u);
   EXPECT_LE(report.lambda_used, 15u);
   EXPECT_GT(report.search_rounds, 0u);
+}
+
+TEST(FastBroadcastOblivious, TelemetryRecorderSeesTheLemma4Runs) {
+  // The caller's recorder reaches every engine run of the broadcast, the
+  // Lemma 4 δ-learning included: after its BFS come the two convergecasts
+  // (min degree, node count), and nothing else runs a convergecast.
+  Rng rng(11);
+  const Graph g = gen::random_regular(64, 16, rng);
+  const auto msgs = random_messages(g, 64, rng);
+  congest::Telemetry tele(congest::TelemetryMode::kRounds);
+  FastBroadcastOptions opts;
+  opts.telemetry = &tele;
+  const auto report = run_fast_broadcast_oblivious(g, msgs, opts);
+  ASSERT_TRUE(report.complete) << report.str();
+  std::size_t convergecasts = 0;
+  for (const auto& span : tele.spans())
+    if (span.name == "convergecast") {
+      ++convergecasts;
+      EXPECT_TRUE(span.finished);
+    }
+  EXPECT_EQ(convergecasts, 2u);
+  // Recording changes nothing.
+  EXPECT_EQ(report.str(), run_fast_broadcast_oblivious(g, msgs).str());
 }
 
 TEST(FastBroadcastOblivious, FastPathOnRegularGraphs) {

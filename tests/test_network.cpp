@@ -32,13 +32,15 @@ class PingPong : public Algorithm {
 };
 
 /// Every node sends its id to all neighbours in round 0 and records what it
-/// hears in round 1.
+/// hears in round 1. The round-0 wakeup schedules round 1 for every node,
+/// isolated ones included (they hear nothing but must still finish).
 class HelloAll : public Algorithm {
  public:
   explicit HelloAll(const Graph& g) : heard_(g.node_count()) {}
   void start(Context& ctx) override {
     for (ArcId a = ctx.arc_begin(); a < ctx.arc_end(); ++a)
       ctx.send(a, {1, ctx.id(), 0});
+    ctx.request_wakeup();
   }
   void step(Context& ctx) override {
     if (ctx.round() != 1) return;

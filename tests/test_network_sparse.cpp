@@ -1,10 +1,11 @@
-// Differential contract of the event-driven round engine: for every
-// migrated algorithm, the sparse run (only nodes with messages or a
-// pending wakeup step) is BIT-IDENTICAL to the legacy dense sweep — same
+// Differential contract of the round engine's one schedule: for every
+// algorithm, the default sparse run (only nodes with messages or a pending
+// wakeup step) is BIT-IDENTICAL to the RunOptions::force_dense sweep — same
 // rounds, messages, per-arc sends, and per-node outputs — on the registry
-// differential spec grid, at engine pool sizes 1, 2, and 8. A counting
-// wrapper verifies the sparse engine actually skips idle nodes, and a
-// wakeup-driven algorithm pins down the request_wakeup semantics.
+// differential spec grid, at engine pool sizes 1, 2, and 8. Step-counting
+// algorithms (a BFS wrapper and a plain Algorithm subclass) verify the
+// engine actually skips idle nodes, and a wakeup-driven algorithm pins
+// down the request_wakeup semantics.
 
 #include "congest/network.hpp"
 
@@ -12,8 +13,6 @@
 
 #include <atomic>
 #include <memory>
-
-#include <limits>
 
 #include "algo/bfs.hpp"
 #include "algo/convergecast.hpp"
@@ -291,21 +290,65 @@ class CountingBfs : public algo::DistributedBfs {
   std::atomic<std::uint64_t> steps_{0};
 };
 
+/// A plain Algorithm — start, step and done only, no scheduling hooks: a
+/// token walks the path from node 0 to node n-1, one hop per round, and
+/// step() counts its own invocations.
+class PathRelay : public Algorithm {
+ public:
+  explicit PathRelay(const Graph& g) : n_(g.node_count()) {}
+  void start(Context& ctx) override {
+    if (ctx.id() == 0) ctx.send(ctx.arc_begin(), {1, 0, 0});
+  }
+  void step(Context& ctx) override {
+    steps_.fetch_add(1, std::memory_order_relaxed);
+    if (ctx.inbox().empty()) return;
+    if (ctx.id() + 1 == n_) arrived_.store(true, std::memory_order_relaxed);
+    const ArcId from = ctx.inbox().front().via;
+    for (ArcId a = ctx.arc_begin(); a < ctx.arc_end(); ++a)
+      if (a != from) ctx.send(a, {1, 0, 0});
+  }
+  bool done() const override {
+    return arrived_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t steps() const {
+    return steps_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  NodeId n_;
+  std::atomic<bool> arrived_{false};
+  std::atomic<std::uint64_t> steps_{0};
+};
+
 TEST(SparseEngine, SkipsIdleNodesOnDeepPath) {
   const Graph g = scenario::build_graph("path:n=512");
-  Network net_sparse(g), net_dense(g);
-  CountingBfs sparse(g, 0), dense(g, 0);
-  const auto rs = net_sparse.run(sparse);
+  const std::uint64_t n = g.node_count();
   RunOptions dense_opts;
   dense_opts.force_dense = true;
-  const auto rd = net_dense.run(dense, dense_opts);
-  expect_same_cost(rd, rs);
   // Dense: every node steps every round, Theta(n^2) handler calls. Sparse:
   // each node is activated O(1) times, O(n) calls in total.
-  EXPECT_EQ(dense.steps(),
-            std::uint64_t{g.node_count()} * (rd.rounds - 1));
-  EXPECT_LE(sparse.steps(), std::uint64_t{4} * g.node_count());
-  EXPECT_LT(sparse.steps() * 50, dense.steps());
+  const auto check = [&](auto& sparse, auto& dense) {
+    Network net_sparse(g), net_dense(g);
+    const auto rs = net_sparse.run(sparse);
+    const auto rd = net_dense.run(dense, dense_opts);
+    expect_same_cost(rd, rs);
+    EXPECT_EQ(dense.steps(), n * (rd.rounds - 1));
+    EXPECT_LE(sparse.steps(), 4 * n);
+    EXPECT_LT(sparse.steps() * 50, dense.steps());
+  };
+  {
+    SCOPED_TRACE("bfs");
+    CountingBfs sparse(g, 0), dense(g, 0);
+    check(sparse, dense);
+  }
+  {
+    // The sparse schedule is the default for every Algorithm, not an
+    // opt-in: a subclass that declares nothing about scheduling gets it.
+    SCOPED_TRACE("plain algorithm");
+    PathRelay sparse(g), dense(g);
+    check(sparse, dense);
+    EXPECT_EQ(sparse.steps(), n - 1);
+  }
 }
 
 /// request_wakeup contract: a node may keep itself scheduled without any
@@ -316,7 +359,6 @@ class DelayedFlood : public Algorithm {
   DelayedFlood(const Graph& g, std::uint64_t delay)
       : delay_(delay), n_(g.node_count()) {}
   std::string name() const override { return "delayed-flood"; }
-  bool event_driven() const override { return true; }
   void start(Context& ctx) override {
     if (ctx.id() == 0) ctx.request_wakeup();
   }
@@ -436,14 +478,13 @@ TEST(SparseEngine, ClusteringDifferentialThroughEntryPoint) {
   }
 }
 
-TEST(SparseEngine, ParallelStampDeliveryBitIdentical) {
-  // The parallel delivery stamp: threshold 1 forces every stamping round
-  // onto the pool (atomic stores; CAS-claims when telemetry wants the
-  // unique-receiver count), and a threshold no round can reach pins the
-  // serial baseline. Cost, outputs, AND the telemetry counter series must
-  // be bit-identical — the with_input column is exactly the CAS-claimed
-  // receiver count. This is the test the TSAN CI job re-runs to hold the
-  // concurrent stamp stores race-free.
+TEST(SparseEngine, DeliveryBitIdenticalAcrossPoolsAndTelemetry) {
+  // The delivery pass against a serial baseline (1-thread pool, rounds-mode
+  // telemetry), at pools 2 and 8, under both schedules, with and without a
+  // recorder: cost, outputs, AND the telemetry counter series must be
+  // bit-identical — the with_input column is exactly the unique-receiver
+  // count the pass derives from its `fresh` stamps. The TSAN CI job re-runs
+  // this test to hold the pool's handler rounds race-free around it.
   const Graph g = scenario::build_graph("random_regular:n=600,d=4,seed=9");
   const auto sources = apps::default_sources(g, 8);
   const auto outputs = [](const algo::BatchBfs& alg) {
@@ -455,8 +496,9 @@ TEST(SparseEngine, ParallelStampDeliveryBitIdentical) {
     return out;
   };
   Telemetry tele_serial(TelemetryMode::kRounds);
+  ThreadPool serial_pool(1);
   RunOptions serial;
-  serial.parallel_stamp_threshold = std::numeric_limits<std::size_t>::max();
+  serial.pool = &serial_pool;
   serial.telemetry = &tele_serial;
   algo::BatchBfs base_alg(g, sources);
   Network base_net(g);
@@ -475,7 +517,6 @@ TEST(SparseEngine, ParallelStampDeliveryBitIdentical) {
         RunOptions opts;
         opts.pool = &pool;
         opts.force_dense = force_dense;
-        opts.parallel_stamp_threshold = 1;
         if (with_tele) opts.telemetry = &tele;
         algo::BatchBfs alg(g, sources);
         Network net(g);
@@ -500,8 +541,8 @@ TEST(SparseEngine, ParallelStampDeliveryBitIdentical) {
 TEST(SparseEngine, RunnerInterleavedMatchesSequential) {
   // The composite runner's two modes must be bit-identical in composite
   // cost, parent congestion, per-instance results, and algorithm outputs —
-  // kSequential is the legacy baseline, kInterleaved the one-engine-run
-  // default, at every pool size, under both engines.
+  // kSequential is the oracle, kInterleaved the one-engine-run default, at
+  // every pool size, under both schedules.
   for (const std::string spec :
        {std::string("thick_cycle:groups=8,width=4"),
         std::string("harary:n=64,k=5")}) {
