@@ -37,6 +37,11 @@
 // Lemma 1 broadcast. Composite and per-instance costs must agree exactly;
 // each mode's time is its minimum over >= 3 alternating reps.
 //
+// Experiment N5 (built-in grid only): pool scaling — the N4 Lemma 1
+// composite (interleaved) and the textbook PipelineBroadcast on the same
+// graph, at engine pools 1, 2 and 4, each pool's time its minimum over
+// >= 3 rotating reps; every pool must reproduce the same costs.
+//
 // Flags: --quick, --graph=<spec> (repeatable; replaces the built-in
 // regimes), --sources=<k> (batch-bfs backlog width, default 64).
 
@@ -45,6 +50,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <tuple>
 
 #include "algo/bfs.hpp"
 #include "algo/leader_election.hpp"
@@ -358,7 +364,57 @@ void run_composite_row(const Graph& g, const std::string& spec,
         spec + " / " + algo);
 }
 
-void run_composite(bool quick, const std::string& cache, JsonReport& report) {
+constexpr std::uint32_t kParts = 4;
+
+std::pair<Graph, std::string> load_graph(const std::string& text,
+                                         const std::string& cache) {
+  const auto spec = scenario::GraphSpec::parse(text);
+  return {cache.empty() ? scenario::Registry::instance().build(spec)
+                        : scenario::load_or_generate(spec, cache),
+          spec.to_string()};
+}
+
+/// Theorem 1's phase 4 as run_fast_broadcast issues it, on perfbench's
+/// bcast-expander graph: a 4-part edge partition, a BFS tree per part
+/// (built once, untimed) and part i owning ids [i*K, (i+1)*K) of k random
+/// messages. Shared by N4 and N5.
+struct Lemma1Workload {
+  Graph g;
+  std::string spec;
+  std::uint64_t k = 0;
+  EdgePartition partition;
+  std::vector<algo::SpanningTree> trees;
+  std::vector<algo::PlacedMessage> msgs;
+  std::vector<std::vector<algo::PlacedMessage>> assigned;
+
+  Lemma1Workload(bool quick, const std::string& cache)
+      : k(quick ? 2048 : 4096) {
+    std::tie(g, spec) = load_graph(quick ? "random_regular:n=512,d=64,seed=1"
+                                         : "random_regular:n=1024,d=64,seed=1",
+                                   cache);
+    partition = random_edge_partition(g, kParts, /*seed=*/0x5eed);
+    for (const auto& part : partition.parts)
+      trees.push_back(algo::run_bfs(part.graph, 0).tree);
+    Rng rng(0x6e34);
+    msgs = random_messages(g, k, rng);
+    const std::uint64_t per_part = (k + kParts - 1) / kParts;
+    assigned.resize(kParts);
+    for (const auto& m : msgs) assigned[m.id / per_part].push_back(m);
+  }
+
+  std::string composite_name() const {
+    return "pipeline-broadcast x" + std::to_string(kParts) +
+           " k=" + std::to_string(k);
+  }
+
+  std::unique_ptr<congest::Algorithm> make_part(std::size_t i) const {
+    return std::make_unique<algo::PipelineBroadcast>(partition.parts[i].graph,
+                                                     trees[i], assigned[i]);
+  }
+};
+
+void run_composite(const Lemma1Workload& lemma1, bool quick,
+                   const std::string& cache, JsonReport& report) {
   banner("N4 / interleaved edge-disjoint runs",
          "run_edge_disjoint: sequential oracle (one engine run per "
          "instance) vs production interleaved (all instances in one engine "
@@ -366,16 +422,9 @@ void run_composite(bool quick, const std::string& cache, JsonReport& report) {
          "identical.");
   Table table({"graph", "algo", "rounds", "messages", "max congestion",
                "sequential ms", "interleaved ms", "speedup", "identical"});
-  constexpr std::uint32_t kParts = 4;
-  const auto load = [&](const std::string& text) {
-    const auto spec = scenario::GraphSpec::parse(text);
-    return std::pair(cache.empty() ? scenario::Registry::instance().build(spec)
-                                   : scenario::load_or_generate(spec, cache),
-                     spec.to_string());
-  };
   {
     const auto [g, spec] =
-        load(quick ? "margulis:side=40" : "margulis:side=70");
+        load_graph(quick ? "margulis:side=40" : "margulis:side=70", cache);
     const auto partition = random_edge_partition(g, kParts, /*seed=*/0x5eed);
     run_composite_row(
         g, spec, "bfs x" + std::to_string(kParts), partition,
@@ -385,31 +434,118 @@ void run_composite(bool quick, const std::string& cache, JsonReport& report) {
         },
         table, report);
   }
-  {
-    // Theorem 1's phase 4 as run_fast_broadcast issues it: a BFS tree per
-    // part (built once, untimed) and part i owning ids [i*K, (i+1)*K).
-    const std::uint64_t k = quick ? 2048 : 4096;
-    const auto [g, spec] = load(quick ? "random_regular:n=512,d=64,seed=1"
-                                      : "random_regular:n=1024,d=64,seed=1");
-    const auto partition = random_edge_partition(g, kParts, /*seed=*/0x5eed);
-    std::vector<algo::SpanningTree> trees;
-    for (const auto& part : partition.parts)
-      trees.push_back(algo::run_bfs(part.graph, 0).tree);
-    Rng rng(0x6e34);
-    const auto msgs = random_messages(g, k, rng);
-    const std::uint64_t per_part = (k + kParts - 1) / kParts;
-    std::vector<std::vector<algo::PlacedMessage>> assigned(kParts);
-    for (const auto& m : msgs) assigned[m.id / per_part].push_back(m);
-    run_composite_row(
-        g, spec,
-        "pipeline-broadcast x" + std::to_string(kParts) +
-            " k=" + std::to_string(k),
-        partition,
-        [&](std::size_t i) {
-          return std::make_unique<algo::PipelineBroadcast>(
-              partition.parts[i].graph, trees[i], assigned[i]);
-        },
-        table, report);
+  run_composite_row(
+      lemma1.g, lemma1.spec, lemma1.composite_name(), lemma1.partition,
+      [&](std::size_t i) { return lemma1.make_part(i); }, table, report);
+  table.print(std::cout);
+}
+
+/// Experiment N5: pool scaling. Theorem 1's Lemma 1 work at engine pools
+/// 1, 2 and 4: the N4 per-part composite (interleaved, the production
+/// mode) and the textbook PipelineBroadcast of all k messages down one BFS
+/// tree of the whole graph. Each pool's time is its minimum over >= 3 reps
+/// that rotate the pool order; every pool must reproduce pool 1's costs
+/// exactly (rounds, messages, per-arc sends).
+void run_pool_scaling(const Lemma1Workload& lemma1, JsonReport& report) {
+  banner("N5 / pool scaling",
+         "the Lemma 1 composite (interleaved) and the textbook pipeline at "
+         "engine pools 1, 2, 4; per-pool minimum over rotating reps, costs "
+         "must be identical across pools.");
+  Table table({"graph", "algo", "rounds", "messages", "pool 1 ms",
+               "pool 2 ms", "pool 4 ms", "scaling 1->4", "identical"});
+  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(4)};
+  const std::size_t kPools = std::size(pools);
+
+  // One run's deterministic costs: rounds, messages, finished, then the
+  // per-arc sends; equal vectors mean bit-identical runs.
+  using Costs = std::vector<std::uint64_t>;
+  const auto costs_of = [](const congest::RunResult& r) {
+    Costs c{r.rounds, r.messages, r.finished};
+    c.insert(c.end(), r.arc_sends.begin(), r.arc_sends.end());
+    return c;
+  };
+  const auto composite = [&](ThreadPool& pool) {
+    std::vector<std::unique_ptr<congest::Algorithm>> algs;
+    std::vector<congest::EdgeDisjointInstance> work;
+    for (std::size_t i = 0; i < lemma1.partition.parts.size(); ++i) {
+      algs.push_back(lemma1.make_part(i));
+      work.push_back({&lemma1.partition.parts[i], algs.back().get()});
+    }
+    congest::RunOptions opts;
+    opts.pool = &pool;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto res = congest::run_edge_disjoint(lemma1.g, work, opts);
+    const auto t1 = std::chrono::steady_clock::now();
+    Costs c{res.rounds, res.messages, res.finished};
+    for (const auto& inst : res.per_instance) {
+      const Costs part = costs_of(inst);
+      c.insert(c.end(), part.begin(), part.end());
+    }
+    return std::pair(
+        std::move(c),
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+  };
+  const algo::SpanningTree tree = algo::run_bfs(lemma1.g, 0).tree;
+  const auto textbook = [&](ThreadPool& pool) {
+    algo::PipelineBroadcast alg(lemma1.g, tree, lemma1.msgs);
+    congest::Network net(lemma1.g);
+    congest::RunOptions opts;
+    opts.pool = &pool;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto res = net.run(alg, opts);
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::pair(
+        costs_of(res),
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+  };
+
+  using Runner = std::function<std::pair<Costs, double>(ThreadPool&)>;
+  const std::pair<std::string, Runner> rows[] = {
+      {lemma1.composite_name() + " interleaved", composite},
+      {"pipeline-broadcast k=" + std::to_string(lemma1.k) + " textbook",
+       textbook},
+  };
+  for (const auto& [algo_name, run] : rows) {
+    std::vector<Costs> costs(kPools);
+    std::vector<double> best(kPools, 1e300);
+    std::uint64_t reps = 3;
+    for (std::uint64_t rep = 0; rep < reps; ++rep) {
+      for (std::size_t j = 0; j < kPools; ++j) {
+        const std::size_t p = (rep + j) % kPools;
+        auto [c, ms] = run(pools[p]);
+        // Short runs repeat until about 0.2 s at pool 1 (50 reps cap).
+        if (rep == 0 && p == 0)
+          reps = static_cast<std::uint64_t>(
+              std::clamp(200.0 / std::max(ms, 1e-3), 3.0, 50.0));
+        best[p] = std::min(best[p], ms);
+        costs[p] = std::move(c);
+      }
+    }
+    const bool identical =
+        std::all_of(costs.begin(), costs.end(),
+                    [&](const Costs& c) { return c == costs[0]; });
+    const double scaling = best[2] > 0.0 ? best[0] / best[2] : 0.0;
+    table.add_row({lemma1.spec, algo_name, Table::num(std::size_t{costs[0][0]}),
+                   Table::num(std::size_t{costs[0][1]}),
+                   Table::num(best[0], 2), Table::num(best[1], 2),
+                   Table::num(best[2], 2), Table::num(scaling, 2),
+                   identical ? "yes" : "NO"});
+    report.row()
+        .add("regime", "pool scaling")
+        .add("graph", lemma1.spec)
+        .add("algo", algo_name)
+        .add("n", std::uint64_t{lemma1.g.node_count()})
+        .add("m", std::uint64_t{lemma1.g.edge_count()})
+        .add("rounds", costs[0][0])
+        .add("messages", costs[0][1])
+        .add("pool1_ms", best[0])
+        .add("pool2_ms", best[1])
+        .add("pool4_ms", best[2])
+        .add("scaling_1_to_4", scaling)
+        .add("identical", identical);
+    if (!identical)
+      throw std::runtime_error("bench_engine: pools 1/2/4 disagree on " +
+                               lemma1.spec + " / " + algo_name);
   }
   table.print(std::cout);
 }
@@ -447,7 +583,9 @@ int main(int argc, char** argv) {
     // custom --graph invocations stay a pure two-engine comparison.
     if (custom.empty()) {
       bench::run_telemetry_overhead(quick, cache, report);
-      bench::run_composite(quick, cache, report);
+      const bench::Lemma1Workload lemma1(quick, cache);
+      bench::run_composite(lemma1, quick, cache, report);
+      bench::run_pool_scaling(lemma1, report);
     }
     std::cout << "wrote " << report.write() << "\n";
   } catch (const std::exception& err) {

@@ -53,12 +53,14 @@ void Network::do_send(Context& ctx, ArcId via, const Message& m) {
     fault_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  // Message at the sender's index, flag at the receiver's (see the header).
   const std::size_t w = write_off_ + at;
-  if (slot_full_[w])
+  const std::size_t flag = write_off_ + g.arc_reverse(at);
+  if (slot_full_[flag])
     throw std::logic_error(
         "Context::send: second message on one arc in one round "
         "(CONGEST bandwidth violation)");
-  slot_full_[w] = 1;
+  slot_full_[flag] = 1;
   if (faults_on_ && corrupt_stamp_[at] == ctx.round_ + 1) {
     Message c = m;
     c.a = corrupt_word(c.a);
@@ -82,14 +84,14 @@ void Network::apply_faults(std::uint64_t round) {
         const NodeId v = f.id;
         node_dead_[v] = 1;
         for (ArcId a = g.arc_begin(v); a < g.arc_end(v); ++a) {
-          const ArcId in = g.arc_reverse(a);  // the direction INTO v
-          arc_dead_[in] = 1;
+          arc_dead_[g.arc_reverse(a)] = 1;  // the direction INTO v
           // Messages in flight toward the crashed node (sent last round,
-          // sitting in the read half) are lost with it; clearing the flags
-          // here also keeps the half clean for its next write role.
-          const std::size_t slot = read_off + in;
-          if (slot_full_[slot]) {
-            slot_full_[slot] = 0;
+          // sitting in the read half) are lost with it; their flags are v's
+          // own, and clearing them here also keeps the half clean for its
+          // next write role.
+          const std::size_t flag = read_off + a;
+          if (slot_full_[flag]) {
+            slot_full_[flag] = 0;
             fault_dropped_.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -155,16 +157,17 @@ std::uint64_t Network::run_handlers(Algorithm& alg, std::uint64_t round,
       }
       scratch.clear();
       if (sched_stamp_[v] == round) {
-        // Materialize the inbox from the read half: scan the node's
-        // contiguous arc range for full reverse-arc slots. Arc order makes
-        // delivery arc-id-sorted for free; this worker is the slot's only
-        // consumer, so clearing the flag here IS the per-worker cleanup
-        // that readies the buffer half for its next write role.
+        // Materialize the inbox from the read half: scan the node's own
+        // contiguous flag range and fetch the sender-indexed message only
+        // where a flag is set. Arc order makes delivery arc-id-sorted for
+        // free; this worker is the flags' only consumer, so clearing them
+        // here IS the per-worker cleanup that readies the buffer half for
+        // its next write role.
         for (ArcId a = g.arc_begin(v); a < g.arc_end(v); ++a) {
-          const std::size_t slot = read_off + g.arc_reverse(a);
-          if (!slot_full_[slot]) continue;
-          slot_full_[slot] = 0;
-          scratch.push_back(Incoming{a, slot_msg_[slot]});
+          if (!slot_full_[read_off + a]) continue;
+          slot_full_[read_off + a] = 0;
+          scratch.push_back(
+              Incoming{a, slot_msg_[read_off + g.arc_reverse(a)]});
         }
         if (tf != nullptr && !scratch.empty())
           tf->record_inbox(worker, scratch.size());

@@ -19,12 +19,22 @@
 //    an O(messages) pass over the per-worker receiver lists that stamps
 //    each receiver; nothing is copied, merged, or sorted.
 //  * A node's inbox is materialized on the worker thread that runs its
-//    handler, by scanning the node's contiguous arc range for full
-//    reverse-arc slots (skipped entirely when the receiver stamp says the
-//    node got nothing). The scan order is arc-id order, so the delivery
-//    order — the determinism contract every algorithm's tie-breaking rests
-//    on — comes for free, and consuming a slot clears its flag, so the
-//    read half is clean again by the time the next flip reuses it.
+//    handler, by scanning the node's contiguous flag range (skipped
+//    entirely when the receiver stamp says the node got nothing). The scan
+//    order is arc-id order, so the delivery order — the determinism
+//    contract every algorithm's tie-breaking rests on — comes for free,
+//    and consuming a slot clears its flag, so the read half is clean again
+//    by the time the next flip reuses it.
+//  * Receiver-indexed mail flags: a send on arc `a` stores the message at
+//    the SENDER's index `a` but raises the flag at the RECEIVER's index
+//    arc_reverse(a). Each sender writes only its own message range, and
+//    the receiver's scan reads one contiguous run of flag bytes, touching
+//    a message (and the reverse-arc table) only where a flag is set.
+//  * Per-worker cache lines: no two workers' receiver, wakeup or inbox
+//    list headers share a 64-byte line (WorkerList). Every send, wakeup
+//    and inbox push_back writes its worker's header; packed 24-byte
+//    headers would put 2–3 workers on one line, and that false sharing
+//    made the parallel rounds slower than a 1-thread pool.
 //  * Every algorithm runs SPARSE: step() executes only for nodes with a
 //    non-empty inbox or a pending request_wakeup(), so a round costs
 //    O(sum of active nodes' degrees), not O(n + m). RunOptions::force_dense
@@ -239,20 +249,33 @@ class Network {
   std::uint64_t run_handlers(Algorithm& alg, std::uint64_t round, Sweep sweep,
                              bool record_wakeups, ThreadPool& pool);
 
+  /// One worker's scratch list, padded to two cache lines: whatever the
+  /// array's base alignment, no two workers' 24-byte headers share a
+  /// 64-byte line. Padding rather than alignas(64): the aligned operator
+  /// new and realigned run() frame that alignas brings pushed bench_engine's
+  /// CI-guarded deep-path kRounds overhead (N2) above 8% in 19 of 46
+  /// --quick runs on a 4-vCPU VM, against 3 of 46 for packed headers.
+  template <typename T>
+  struct WorkerList : std::vector<T> {
+    char pad[128 - sizeof(std::vector<T>)];
+  };
+
   const Graph* graph_;
   ArcId arcs_ = 0;
   // Double-buffered per-arc slots: [write_off_, write_off_ + arcs_) receives
   // this round's sends; the other half holds last round's, which handlers
-  // consume (clearing the full flags as they read).
+  // consume (clearing the full flags as they read). A message on arc a sits
+  // at slot_msg_[off + a] (sender-indexed); its flag at
+  // slot_full_[off + arc_reverse(a)] (receiver-indexed).
   std::vector<Message> slot_msg_;        // size 2 * arcs_
   std::vector<std::uint8_t> slot_full_;  // size 2 * arcs_
   std::size_t write_off_ = 0;
   // Per-worker scratch: receiver lists (send() resolves the head node so
   // the stamp pass never touches the graph), wakeup requests, and the
   // inbox buffers the Context spans point into.
-  std::vector<std::vector<NodeId>> thread_recv_;
-  std::vector<std::vector<NodeId>> thread_wakeup_;
-  std::vector<std::vector<Incoming>> inbox_scratch_;
+  std::vector<WorkerList<NodeId>> thread_recv_;
+  std::vector<WorkerList<NodeId>> thread_wakeup_;
+  std::vector<WorkerList<Incoming>> inbox_scratch_;
   // sched_stamp_[v] == r: v is scheduled for round r (received a message
   // and/or requested a wakeup). Gates both the inbox arc scan and the
   // kActiveScan filter; doubles as the kActiveList dedup marker.

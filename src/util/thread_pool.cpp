@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace fc {
 
@@ -41,9 +42,15 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       job = job_;
       seen_generation = job.generation;
     }
-    run_chunk(worker_index, job.n, *job.fn);
+    std::exception_ptr error;
+    try {
+      run_chunk(worker_index, job.n, *job.fn);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::lock_guard lock(mutex_);
+      if (error && !job_error_) job_error_ = error;
       ++workers_done_;
     }
     cv_done_.notify_one();
@@ -67,9 +74,21 @@ void ThreadPool::parallel_chunks(std::size_t n, const ChunkFn& fn) {
     workers_done_ = 0;
   }
   cv_start_.notify_all();
-  run_chunk(0, n, fn);
-  std::unique_lock lock(mutex_);
-  cv_done_.wait(lock, [&] { return workers_done_ == workers_.size(); });
+  // The helpers run `fn`, which may live in the caller's frame: even when
+  // the caller's own chunk throws, return only after every chunk finished.
+  std::exception_ptr error;
+  try {
+    run_chunk(0, n, fn);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    std::unique_lock lock(mutex_);
+    if (error && !job_error_) job_error_ = error;
+    cv_done_.wait(lock, [&] { return workers_done_ == workers_.size(); });
+    error = std::exchange(job_error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::parallel_for(std::size_t n,

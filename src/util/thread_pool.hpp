@@ -10,6 +10,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -41,6 +42,13 @@ class ThreadPool {
   /// Concurrent calls from different threads serialize on an internal
   /// mutex (each job runs to completion before the next starts). NOT
   /// reentrant: calling parallel_chunks from inside fn deadlocks.
+  ///
+  /// Exceptions: a chunk that throws — on a helper thread or on the
+  /// calling thread — ends only that chunk. parallel_chunks (and so
+  /// parallel_for) still waits until every chunk has finished, then
+  /// rethrows on the calling thread the first exception any chunk
+  /// recorded; later ones from the same call are dropped. The pool stays
+  /// usable.
   void parallel_chunks(std::size_t n, const ChunkFn& fn);
 
   /// Process-wide default pool (lazily constructed).
@@ -63,6 +71,7 @@ class ThreadPool {
   std::condition_variable cv_done_;
   Job job_;
   std::size_t workers_done_ = 0;
+  std::exception_ptr job_error_;  // first exception thrown by this job
   bool stop_ = false;
 };
 

@@ -11,9 +11,9 @@
 //  * Every registered scenario algorithm reports identical cost measures
 //    on churned graphs across pool sizes and engines.
 //  * Fault injection semantics: a round-0 drop equals removing the element
-//    from the graph; a crash isolates the node; a fault scheduled after
-//    quiescence is a no-op; counters account drops and corruptions; bad
-//    ids throw before the run starts.
+//    from the graph; a crash isolates the node and drops the mail in
+//    flight to it; a fault scheduled after quiescence is a no-op; counters
+//    account drops and corruptions; bad ids throw before the run starts.
 //  * The resilient-broadcast engine drive (real kEdgeCorrupt faults)
 //    reports the exact numbers of the analytic model, adversary by
 //    adversary.
@@ -322,6 +322,50 @@ TEST(Faults, NodeCrashAtRoundZeroIsolatesTheNode) {
   auto want = bfs_distances(without_node(g, victim), 0);
   want[victim] = kUnreached;  // the crashed node never hears the flood
   EXPECT_EQ(got, want);
+}
+
+TEST(Faults, NodeCrashDropsTheMailInFlightToIt) {
+  // Crash a neighbour of the root at round 1, while the root's round-0
+  // flood message to it sits in the read half. Against the same crash at
+  // round 0, where the root's send is swallowed at send time, the
+  // distances and the drop count agree, and the ledger holds exactly one
+  // more message: the one sent, then lost with the node.
+  const Graph g = scenario::Registry::instance().build(
+      scenario::GraphSpec::parse("random_regular:n=600,d=4,seed=9"));
+  const NodeId root = 0;
+  const NodeId victim = g.arc_head(g.arc_begin(root));
+  const auto crash_at = [&](std::uint64_t round, const EngineConfig& ec) {
+    congest::FaultPlan plan;
+    plan.crash_node(round, victim);
+    ThreadPool tp(ec.threads);
+    congest::RunOptions ro;
+    ro.faults = &plan;
+    ro.pool = &tp;
+    ro.force_dense = ec.force_dense;
+    algo::DistributedBfs alg(g, root);
+    congest::Network net(g);
+    congest::RunResult res = net.run(alg, ro);
+    EXPECT_TRUE(res.finished);
+    return std::pair(alg.distances(), std::move(res));
+  };
+  const auto [early_dist, early] = crash_at(0, {1, false});
+  const auto [late_dist, late] = crash_at(1, {1, false});
+  EXPECT_EQ(late_dist, early_dist);
+  EXPECT_EQ(late_dist[victim], kUnreached);
+  EXPECT_EQ(late.messages, early.messages + 1);
+  // One flood message toward the victim per neighbour, in both runs.
+  EXPECT_EQ(early.fault_dropped, g.degree(victim));
+  EXPECT_EQ(late.fault_dropped, early.fault_dropped);
+  for (const EngineConfig& ec : kEngines) {
+    SCOPED_TRACE(std::string("threads=") + std::to_string(ec.threads) +
+                 (ec.force_dense ? " dense" : " sparse"));
+    const auto [dist, res] = crash_at(1, ec);
+    EXPECT_EQ(dist, late_dist);
+    EXPECT_EQ(res.rounds, late.rounds);
+    EXPECT_EQ(res.messages, late.messages);
+    EXPECT_EQ(res.fault_dropped, late.fault_dropped);
+    EXPECT_EQ(res.arc_sends, late.arc_sends);
+  }
 }
 
 TEST(Faults, FaultAfterQuiescenceIsANoop) {

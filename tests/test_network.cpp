@@ -56,14 +56,18 @@ class HelloAll : public Algorithm {
 /// Misbehaving algorithms for the enforcement tests.
 class DoubleSender : public Algorithm {
  public:
+  explicit DoubleSender(NodeId culprit = 0) : culprit_(culprit) {}
   void start(Context& ctx) override {
-    if (ctx.id() == 0) {
+    if (ctx.id() == culprit_) {
       ctx.send(ctx.arc_begin(), {1, 0, 0});
       ctx.send(ctx.arc_begin(), {1, 0, 0});  // CONGEST violation
     }
   }
   void step(Context&) override {}
   bool done() const override { return false; }
+
+ private:
+  NodeId culprit_;
 };
 
 class WrongArcSender : public Algorithm {
@@ -118,6 +122,29 @@ TEST(Network, DoubleSendThrows) {
   Network net(g);
   DoubleSender alg;
   EXPECT_THROW(net.run(alg, {.max_rounds = 3}), std::logic_error);
+}
+
+TEST(Network, DoubleSendOnAPoolHelperThrowsAndTheEngineStaysUsable) {
+  // circulant(600, 3) is big enough for round 0 to run in 4 chunks, so
+  // node 599's violation throws on a pool helper thread, not the caller.
+  const Graph g = gen::circulant(600, 3);
+  ThreadPool pool(4);
+  Network net(g);
+  DoubleSender bad(599);
+  EXPECT_THROW(net.run(bad, {.max_rounds = 3, .pool = &pool}),
+               std::logic_error);
+  // The aborted run leaves nothing behind: the same engine reproduces a
+  // fresh engine's run bit for bit.
+  HelloAll reused(g), fresh(g);
+  const auto r1 = net.run(reused, {.pool = &pool});
+  Network fresh_net(g);
+  const auto r2 = fresh_net.run(fresh, {.pool = &pool});
+  EXPECT_TRUE(r1.finished);
+  EXPECT_EQ(r1.rounds, r2.rounds);
+  EXPECT_EQ(r1.messages, r2.messages);
+  EXPECT_EQ(r1.undelivered, r2.undelivered);
+  EXPECT_EQ(r1.arc_sends, r2.arc_sends);
+  EXPECT_EQ(reused.heard_, fresh.heard_);
 }
 
 TEST(Network, ForeignArcThrows) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace fc {
@@ -71,6 +74,46 @@ TEST(ThreadPool, GlobalPoolIsUsable) {
   std::atomic<int> count{0};
   ThreadPool::global().parallel_for(64, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 64);
+}
+
+TEST(ThreadPool, HelperChunkExceptionReachesTheCaller) {
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> finished{0};
+  const auto throw_on_helper = [&](std::size_t w, std::size_t, std::size_t) {
+    if (w == 3) {
+      EXPECT_NE(std::this_thread::get_id(), caller);
+      throw std::runtime_error("helper chunk");
+    }
+    ++finished;
+  };
+  EXPECT_THROW(pool.parallel_chunks(4, throw_on_helper), std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+  // The pool stays usable, and the failed job's exception is not replayed.
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(1000, [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, CallerChunkExceptionWaitsForEveryOtherChunk) {
+  // The caller runs chunk 0. If it throws, parallel_chunks must not return
+  // while the helpers still run `fn`, which lives in this frame.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> finished{0};
+  const auto throw_on_caller = [&](std::size_t w, std::size_t, std::size_t) {
+    if (w == 0) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      throw std::runtime_error("caller chunk");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ++finished;
+  };
+  EXPECT_THROW(pool.parallel_chunks(4, throw_on_caller), std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+  std::atomic<int> count{0};
+  pool.parallel_for(57, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 57);
 }
 
 TEST(ThreadPool, NMuchLargerThanThreads) {
