@@ -1,5 +1,6 @@
 #include "apps/exact_apsp.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <stdexcept>
@@ -119,10 +120,12 @@ ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root,
   congest::Network net(g);
   DelayedBfs alg(g, pi);
   congest::RunOptions bounded = opts;
-  bounded.max_rounds = 10ull * g.node_count() + 64;
+  bounded.max_rounds =
+      std::min<std::uint64_t>(opts.max_rounds, 10ull * g.node_count() + 64);
   const auto res = net.run(alg, bounded);
-  if (!res.finished)
+  if (!res.finished && !res.cancelled)
     throw std::runtime_error("exact_apsp: delayed BFS did not converge");
+  report.cancelled = res.cancelled;
   report.bfs_rounds = res.rounds;
   report.messages = res.messages;
   report.total_rounds = report.dfs_rounds + report.bfs_rounds;

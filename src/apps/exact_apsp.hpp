@@ -32,11 +32,16 @@ struct ExactApspReport {
   std::uint64_t total_rounds = 0;
   std::uint64_t messages = 0;
   std::size_t max_queue = 0;      // 1 iff the PRT12 property held exactly
+  /// `opts.cancel` cut the delayed-BFS run: `dist` holds the pairs learned
+  /// so far and kUnreached elsewhere.
+  bool cancelled = false;
 };
 
 /// Run the distributed exact APSP on a connected graph. `opts` reaches the
-/// delayed-BFS engine run, except `max_rounds`, which the algorithm's own
-/// bound replaces.
+/// delayed-BFS engine run, whose round cap is the smaller of
+/// `opts.max_rounds` and the algorithm's own bound 10n + 64. A run cut by
+/// that cap throws std::runtime_error; a cancelled one returns with
+/// `cancelled` set.
 ExactApspReport exact_apsp_distributed(const Graph& g, NodeId dfs_root = 0,
                                        const congest::RunOptions& opts = {});
 

@@ -115,7 +115,7 @@ WeightedGraph ChurnSchedule::build_weighted(
   weights.reserve(edges_.size());
   for (const auto& [u, v] : edges_)
     weights.push_back(dynamic_weight(u, v, range, seed_));
-  return WeightedGraph::from_edges(n_, edges_, std::move(weights));
+  return WeightedGraph(Graph::from_edges(n_, edges_), std::move(weights));
 }
 
 }  // namespace fc::dynamic

@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -12,15 +11,23 @@ namespace fc {
 
 namespace {
 
-// Below this size the serial path wins: the parallel build's per-thread
-// histograms and extra passes cost more than they save.
+// Inputs with at least this many edges (and n <= 4m) build on the
+// process-global pool; smaller or ultra-sparse ones on the calling thread,
+// where the pool's O(threads * n) scratch and hand-offs would dominate.
 constexpr std::size_t kParallelEdgeThreshold = std::size_t{1} << 15;
 
-// Validation outcomes of the counting pass, ordered by throw priority so
-// every thread count reports the same error for the same input. Workers
-// must NOT throw (an exception escaping a pool worker would terminate);
-// they record a code, and the calling thread throws after the join.
+// Validation outcomes of the counting pass. Each worker records the first
+// invalid edge of its chunk, and the calling thread throws the code of the
+// lowest worker that has one: that is the first invalid edge in input order,
+// whatever the pool size. (parallel_chunks would forward a thrown exception,
+// but whichever chunk threw first in time would win.)
 enum class EdgeError : std::uint8_t { kNone = 0, kSelfLoop, kOutOfRange };
+
+EdgeError check_edge(NodeId n, NodeId u, NodeId v) {
+  if (u == v) return EdgeError::kSelfLoop;
+  if (u >= n || v >= n) return EdgeError::kOutOfRange;
+  return EdgeError::kNone;
+}
 
 [[noreturn]] void throw_edge_error(EdgeError err) {
   switch (err) {
@@ -40,18 +47,22 @@ Graph Graph::from_edges(NodeId n,
 
 Graph Graph::from_edges(NodeId n,
                         std::span<const std::pair<NodeId, NodeId>> edges) {
-  // The parallel build pays O(threads * n) histogram scratch and node
-  // passes; only worth it when edges dominate nodes (connected-ish
-  // graphs). Ultra-sparse inputs (n >> m) stay serial.
   if (edges.size() >= kParallelEdgeThreshold && n <= 4 * edges.size())
     return from_edges(n, edges, ThreadPool::global());
-  return from_edges_serial(n, edges);
+  // A 1-thread pool runs each pass inline and takes no lock, so concurrent
+  // small builds never serialize on it.
+  static ThreadPool caller_thread(1);
+  return from_edges(n, edges, caller_thread);
 }
 
 Graph Graph::from_edges_serial(
     NodeId n, std::span<const std::pair<NodeId, NodeId>> edges) {
-  // Serial reference path. The parallel path below must produce a
-  // bit-identical CSR; tests/test_parallel_csr.cpp holds it to that.
+  // Serial reference path. from_edges must produce a bit-identical CSR and
+  // the same error; tests/test_parallel_csr.cpp holds it to that.
+  for (const auto& [u, v] : edges)
+    if (const EdgeError err = check_edge(n, u, v); err != EdgeError::kNone)
+      throw_edge_error(err);
+
   Graph g;
   g.n_ = n;
   const auto m = static_cast<EdgeId>(edges.size());
@@ -65,8 +76,6 @@ Graph Graph::from_edges_serial(
     seen.reserve(edges.size() * 2);
     for (EdgeId e = 0; e < m; ++e) {
       auto [u, v] = edges[e];
-      if (u == v) throw std::invalid_argument("Graph: self-loop");
-      if (u >= n || v >= n) throw std::invalid_argument("Graph: endpoint >= n");
       if (u > v) std::swap(u, v);
       const std::uint64_t key =
           (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
@@ -132,13 +141,9 @@ Graph Graph::from_edges(NodeId n,
     auto& deg = hist[w];
     for (std::size_t e = begin; e < end; ++e) {
       auto [u, v] = edges[e];
-      if (u == v) {
-        if (error[w] == EdgeError::kNone) error[w] = EdgeError::kSelfLoop;
-        continue;
-      }
-      if (u >= n || v >= n) {
-        if (error[w] == EdgeError::kNone) error[w] = EdgeError::kOutOfRange;
-        continue;
+      if (const EdgeError err = check_edge(n, u, v); err != EdgeError::kNone) {
+        error[w] = err;
+        return;
       }
       if (u > v) std::swap(u, v);
       g.edge_u_[e] = u;
@@ -210,21 +215,23 @@ Graph Graph::from_edges(NodeId n,
     }
   });
 
-  // Pass 5 — duplicate detection, parallel over nodes: a duplicate edge
-  // {u, v} shows up as two equal heads in u's (and v's) adjacency. Sorting
-  // a scratch copy keeps the CSR order intact.
+  // Pass 5 — duplicate detection, linear and parallel over nodes. A
+  // duplicate edge {u, v} shows up as v twice in u's adjacency. Each
+  // worker's cursor array is dead after the scatter and becomes its `seen`
+  // stamp array: seen[x] == v means x already appeared among v's neighbours.
   std::vector<std::uint8_t> dup(threads, 0);
   pool.parallel_chunks(n, [&](std::size_t w, std::size_t begin,
                               std::size_t end) {
-    std::vector<NodeId> scratch;
-    for (std::size_t v = begin; v < end; ++v) {
-      const auto nbrs = g.neighbors(static_cast<NodeId>(v));
-      if (nbrs.size() < 2) continue;
-      scratch.assign(nbrs.begin(), nbrs.end());
-      std::sort(scratch.begin(), scratch.end());
-      if (std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end())
-        dup[w] = 1;
-    }
+    auto& seen = hist[w];
+    std::fill(seen.begin(), seen.end(), kInvalidNode);
+    for (std::size_t v = begin; v < end; ++v)
+      for (const NodeId x : g.neighbors(static_cast<NodeId>(v))) {
+        if (seen[x] == v) {
+          dup[w] = 1;
+          return;
+        }
+        seen[x] = static_cast<NodeId>(v);
+      }
   });
   for (const std::uint8_t d : dup)
     if (d)

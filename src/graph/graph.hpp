@@ -44,23 +44,24 @@ class Graph {
   /// Build from an undirected edge list over nodes [0, n).
   /// Throws std::invalid_argument on self-loops, duplicate edges, or
   /// endpoints >= n: the library works with *simple* graphs only (the paper's
-  /// Lemma 5 provably fails on multigraphs; see its footnote 1).
+  /// Lemma 5 provably fails on multigraphs; see its footnote 1). The error
+  /// is the same for every input size and pool: the first self-loop or
+  /// out-of-range endpoint in input order, and "duplicate edge" only when
+  /// there is neither.
   ///
-  /// Construction cost is O(n + m) work plus O(sum_v deg(v) log deg(v)) for
-  /// the duplicate-edge check. Large edge lists build in parallel on
-  /// ThreadPool::parallel_chunks (per-chunk degree histograms, prefix-sum
-  /// offsets, per-chunk cursor scatter) with O(T * n) transient scratch for
-  /// a T-thread pool. The layout is DETERMINISTIC: the arc at CSR position
-  /// offsets[v] + j is the j-th input edge incident to v, independent of the
-  /// thread count, so parallel and serial builds are bit-identical.
+  /// One algorithm builds every input, in O(T * n + m) work and O(T * n)
+  /// transient scratch on a T-thread pool: per-chunk degree histograms,
+  /// prefix-sum offsets, per-chunk cursor scatter, then a linear
+  /// duplicate check that reuses each chunk's cursors as stamps. The layout
+  /// is DETERMINISTIC: the arc at CSR position offsets[v] + j is the j-th
+  /// input edge incident to v, independent of the thread count.
   ///
-  /// The two-argument overloads pick the path automatically: the
-  /// process-global pool for inputs with >= ~32k edges and n <= 4m, the
-  /// serial reference otherwise (tiny or ultra-sparse inputs, where the
-  /// O(T * n) scratch would dominate). Passing an explicit `pool` forces
-  /// the parallel path on that pool — the knob the determinism tests and
-  /// the TSAN CI job use. `edges` is only read; the caller may pass the
-  /// same span to concurrent builds.
+  /// The two-argument overloads only choose the threads: the process-global
+  /// pool for inputs with >= 2^15 edges and n <= 4m, the calling thread
+  /// otherwise (tiny or ultra-sparse inputs, where the O(T * n) scratch
+  /// would dominate). An explicit `pool` runs the build on that pool — the
+  /// knob the determinism tests and the TSAN CI job use. `edges` is only
+  /// read; the caller may pass the same span to concurrent builds.
   static Graph from_edges(NodeId n,
                           std::span<const std::pair<NodeId, NodeId>> edges);
   static Graph from_edges(NodeId n,
@@ -70,9 +71,9 @@ class Graph {
                           ThreadPool& pool);
 
   /// The single-threaded reference implementation (hash-set duplicate
-  /// detection). Public as the determinism oracle for the parallel-CSR
-  /// tests and microbenchmarks; from_edges() picks it automatically for
-  /// small inputs.
+  /// detection), with the same layout and the same errors as from_edges.
+  /// It is the oracle of the parallel-CSR tests and bench_micro; the
+  /// library itself never calls it.
   static Graph from_edges_serial(
       NodeId n, std::span<const std::pair<NodeId, NodeId>> edges);
 

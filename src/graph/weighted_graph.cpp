@@ -5,55 +5,14 @@
 #include <queue>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace fc {
-
-namespace {
-
-// Mirrors the Graph::from_edges serial/parallel cutover.
-constexpr std::size_t kParallelWeightThreshold = std::size_t{1} << 15;
-
-// Workers only record a flag; the calling thread throws after the join.
-void check_nonnegative(std::span<const Weight> weights, ThreadPool* pool) {
-  bool negative = false;
-  if (pool == nullptr && weights.size() < kParallelWeightThreshold) {
-    for (const Weight w : weights) negative = negative || w < 0;
-  } else {
-    ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
-    std::vector<std::uint8_t> bad(p.size(), 0);
-    p.parallel_chunks(weights.size(), [&](std::size_t w, std::size_t begin,
-                                          std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        if (weights[i] < 0) bad[w] = 1;
-    });
-    for (const std::uint8_t b : bad) negative = negative || b != 0;
-  }
-  if (negative)
-    throw std::invalid_argument("WeightedGraph: negative weight");
-}
-
-}  // namespace
 
 WeightedGraph::WeightedGraph(Graph g, std::vector<Weight> weights)
     : graph_(std::move(g)), weights_(std::move(weights)) {
   if (weights_.size() != graph_.edge_count())
     throw std::invalid_argument("WeightedGraph: weight count != edge count");
-  check_nonnegative(weights_, nullptr);
-}
-
-WeightedGraph WeightedGraph::from_edges(
-    NodeId n, std::span<const std::pair<NodeId, NodeId>> edges,
-    std::vector<Weight> weights, ThreadPool* pool) {
-  if (weights.size() != edges.size())
-    throw std::invalid_argument("WeightedGraph: weight count != edge count");
-  Graph g = pool != nullptr ? Graph::from_edges(n, edges, *pool)
-                            : Graph::from_edges(n, edges);
-  check_nonnegative(weights, pool);
-  WeightedGraph out;
-  out.graph_ = std::move(g);
-  out.weights_ = std::move(weights);
-  return out;
+  for (const Weight w : weights_)
+    if (w < 0) throw std::invalid_argument("WeightedGraph: negative weight");
 }
 
 Weight WeightedGraph::total_weight() const {

@@ -18,21 +18,12 @@ class WeightedGraph {
  public:
   WeightedGraph() = default;
 
-  /// Wrap an already-built graph. `weights[e]` is the weight of EdgeId e;
-  /// throws std::invalid_argument when the count mismatches the edge count
-  /// or any weight is negative. Validation of large weight arrays runs on
-  /// the process-global ThreadPool.
+  /// Wrap an already-built graph. `weights[e]` is the weight of EdgeId e
+  /// (Graph::from_edges keeps input positions as EdgeIds, so weights listed
+  /// alongside its edge list line up directly); throws
+  /// std::invalid_argument when the count mismatches the edge count or any
+  /// weight is negative.
   WeightedGraph(Graph g, std::vector<Weight> weights);
-
-  /// Build topology and weights together: `weights[i]` belongs to
-  /// `edges[i]` (EdgeIds are input positions, so the association is direct).
-  /// The CSR build and the weight validation both parallelize on `pool`
-  /// (nullptr: the automatic serial/global-pool choice of
-  /// Graph::from_edges). Same determinism contract as Graph::from_edges:
-  /// the result is bit-identical for every thread count.
-  static WeightedGraph from_edges(
-      NodeId n, std::span<const std::pair<NodeId, NodeId>> edges,
-      std::vector<Weight> weights, ThreadPool* pool = nullptr);
 
   const Graph& graph() const { return graph_; }
   Weight weight(EdgeId e) const { return weights_[e]; }

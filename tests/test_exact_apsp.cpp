@@ -67,6 +67,28 @@ TEST(ExactApsp, DifferentDfsRootsAgree) {
   EXPECT_EQ(a.dist, b.dist);
 }
 
+TEST(ExactApsp, CancelledRunReportsInsteadOfThrowing) {
+  const Graph g = gen::circulant(60, 3);
+  congest::CancelToken token;
+  token.cancel();
+  congest::RunOptions opts;
+  opts.cancel = &token;
+  const auto report = exact_apsp_distributed(g, 0, opts);
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_EQ(report.bfs_rounds, 0u);
+  EXPECT_EQ(report.dist[0][1], kUnreached);
+  EXPECT_FALSE(exact_apsp_distributed(g).cancelled);
+}
+
+TEST(ExactApsp, CallerRoundCapBindsAndThrows) {
+  // The uncapped run needs 129 delayed-BFS rounds; a 5-round cap cuts it.
+  const Graph g = gen::circulant(60, 3);
+  congest::RunOptions opts;
+  opts.max_rounds = 5;
+  EXPECT_THROW(exact_apsp_distributed(g, 0, opts), std::runtime_error);
+  EXPECT_EQ(exact_apsp_distributed(g).bfs_rounds, 129u);
+}
+
 TEST(ExactApsp, DisconnectedThrows) {
   const Graph g = Graph::from_edges(4, {{0, 1}, {2, 3}});
   EXPECT_THROW(exact_apsp_distributed(g), std::invalid_argument);

@@ -32,9 +32,9 @@ const char* const kSpecs[] = {
 
 WeightedGraph rebuild_with_pool(const WeightedGraph& g, ThreadPool& pool) {
   const auto edges = g.graph().edge_list();
-  std::vector<Weight> weights(g.weights().begin(), g.weights().end());
-  return WeightedGraph::from_edges(g.graph().node_count(), edges,
-                                   std::move(weights), &pool);
+  return WeightedGraph(
+      Graph::from_edges(g.graph().node_count(), edges, pool),
+      std::vector<Weight>(g.weights().begin(), g.weights().end()));
 }
 
 TEST(DistributedMst, MatchesKruskalAcrossFamiliesAndThreadCounts) {

@@ -1,6 +1,6 @@
-// The parallel CSR build's contract: bit-identical layout to the serial
-// reference at every thread count, and the same validation errors — raised
-// on the calling thread, never inside a pool worker.
+// The CSR build's contract: bit-identical layout to the serial reference
+// at every size and thread count, and the same validation error for the
+// same input, whichever threads build it.
 
 #include "graph/graph.hpp"
 
@@ -57,6 +57,32 @@ EdgeList scrambled_edges(NodeId n, std::uint64_t seed) {
   return edges;
 }
 
+/// `edges` without {first}, then with it appended twice: as `first` and as
+/// `second` (either orientation).
+EdgeList with_duplicate(EdgeList edges, std::pair<NodeId, NodeId> first,
+                        std::pair<NodeId, NodeId> second) {
+  const std::pair<NodeId, NodeId> flipped{first.second, first.first};
+  std::erase_if(edges,
+                [&](const auto& e) { return e == first || e == flipped; });
+  edges.push_back(first);
+  edges.push_back(second);
+  return edges;
+}
+
+/// `build()` must throw std::invalid_argument with exactly `what`.
+template <typename Build>
+void expect_invalid(const Build& build, const char* what) {
+  try {
+    build();
+    FAIL() << "expected invalid_argument: " << what;
+  } catch (const std::invalid_argument& err) {
+    EXPECT_STREQ(err.what(), what);
+  }
+}
+
+constexpr const char* kDuplicateEdge =
+    "Graph: duplicate edge (simple graphs only)";
+
 TEST(ParallelCsr, MatchesSerialAcrossThreadCounts) {
   const NodeId n = 2000;
   const EdgeList edges = scrambled_edges(n, 42);
@@ -66,10 +92,12 @@ TEST(ParallelCsr, MatchesSerialAcrossThreadCounts) {
     ThreadPool pool(threads);
     expect_identical(serial, Graph::from_edges(n, edges, pool));
   }
+  // About 8k edges: below the size rule, built on the calling thread.
+  expect_identical(serial, Graph::from_edges(n, edges));
 }
 
 TEST(ParallelCsr, AutomaticPathMatchesSerialAboveThreshold) {
-  // 40k edges crosses the internal serial/parallel cutover.
+  // 40k edges crosses the size rule: built on the global pool.
   Rng rng(7);
   const Graph g = gen::random_regular(10000, 8, rng);
   const EdgeList edges = g.edge_list();
@@ -94,44 +122,52 @@ TEST(ParallelCsr, RejectsSelfLoop) {
   ThreadPool pool(4);
   EdgeList edges = scrambled_edges(500, 3);
   edges[edges.size() / 2] = {17, 17};
-  try {
-    Graph::from_edges(500, edges, pool);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& err) {
-    EXPECT_STREQ(err.what(), "Graph: self-loop");
-  }
+  expect_invalid([&] { Graph::from_edges(500, edges, pool); },
+                 "Graph: self-loop");
 }
 
 TEST(ParallelCsr, RejectsOutOfRangeEndpoint) {
   ThreadPool pool(4);
   EdgeList edges = scrambled_edges(500, 4);
   edges.back() = {3, 500};
-  try {
-    Graph::from_edges(500, edges, pool);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& err) {
-    EXPECT_STREQ(err.what(), "Graph: endpoint >= n");
-  }
+  expect_invalid([&] { Graph::from_edges(500, edges, pool); },
+                 "Graph: endpoint >= n");
 }
 
 TEST(ParallelCsr, RejectsDuplicateEdgesEitherOrientation) {
   ThreadPool pool(4);
-  for (const auto dup : {std::pair<NodeId, NodeId>{1, 2},
-                         std::pair<NodeId, NodeId>{2, 1}}) {
-    EdgeList edges = scrambled_edges(500, 5);
-    edges.erase(std::remove(edges.begin(), edges.end(),
-                            std::pair<NodeId, NodeId>{1, 2}),
-                edges.end());
-    edges.erase(std::remove(edges.begin(), edges.end(),
-                            std::pair<NodeId, NodeId>{2, 1}),
-                edges.end());
-    edges.push_back({1, 2});
-    edges.push_back(dup);
-    try {
-      Graph::from_edges(500, edges, pool);
-      FAIL() << "expected invalid_argument";
-    } catch (const std::invalid_argument& err) {
-      EXPECT_STREQ(err.what(), "Graph: duplicate edge (simple graphs only)");
+  for (const auto& dup : {std::pair<NodeId, NodeId>{1, 2},
+                          std::pair<NodeId, NodeId>{2, 1}}) {
+    const EdgeList edges = with_duplicate(scrambled_edges(500, 5), {1, 2}, dup);
+    expect_invalid([&] { Graph::from_edges(500, edges, pool); },
+                   kDuplicateEdge);
+  }
+  // Above the cutover, on the global pool: the duplicate sits between the
+  // two highest node ids, so it is found through the largest stamp values.
+  Rng rng(8);
+  const NodeId n = 10000;
+  const EdgeList big =
+      with_duplicate(gen::random_regular(n, 8, rng).edge_list(),
+                     {n - 2, n - 1}, {n - 1, n - 2});
+  ASSERT_GE(big.size(), std::size_t{1} << 15);
+  expect_invalid([&] { Graph::from_edges(n, big); }, kDuplicateEdge);
+}
+
+TEST(ParallelCsr, MixedInvalidInputReportsOneErrorAtEverySize) {
+  // The duplicate {1, 2} comes first in input order, but an invalid edge
+  // anywhere outranks it: every build reports the invalid edge.
+  const std::pair<EdgeList, const char*> cases[] = {
+      {{{1, 2}, {2, 1}, {3, 3}}, "Graph: self-loop"},
+      {{{1, 2}, {2, 1}, {3, 9}}, "Graph: endpoint >= n"},
+  };
+  for (const auto& [edges, what] : cases) {
+    SCOPED_TRACE(what);
+    expect_invalid([&] { Graph::from_edges(5, edges); }, what);
+    expect_invalid([&] { Graph::from_edges_serial(5, edges); }, what);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      expect_invalid([&] { Graph::from_edges(5, edges, pool); }, what);
     }
   }
 }
@@ -150,33 +186,14 @@ TEST(ParallelCsr, ChecksumStableAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelWeightedGraph, FromEdgesMatchesConstructor) {
-  const NodeId n = 1200;
-  const EdgeList edges = scrambled_edges(n, 11);
-  std::vector<Weight> weights(edges.size());
-  Rng rng(12);
-  for (auto& w : weights) w = static_cast<Weight>(rng.below(1000));
-  const WeightedGraph direct(Graph::from_edges_serial(n, edges), weights);
-  for (const std::size_t threads : {1u, 8u}) {
-    ThreadPool pool(threads);
-    const WeightedGraph parallel =
-        WeightedGraph::from_edges(n, edges, weights, &pool);
-    expect_identical(direct.graph(), parallel.graph());
-    for (EdgeId e = 0; e < direct.graph().edge_count(); ++e)
-      ASSERT_EQ(direct.weight(e), parallel.weight(e));
-  }
-}
-
 TEST(ParallelWeightedGraph, RejectsNegativeWeightAndCountMismatch) {
-  ThreadPool pool(4);
   const EdgeList edges = scrambled_edges(800, 21);
+  const Graph g = Graph::from_edges(800, edges);
   std::vector<Weight> weights(edges.size(), 1);
   weights[weights.size() - 3] = -5;
-  EXPECT_THROW(WeightedGraph::from_edges(800, edges, weights, &pool),
-               std::invalid_argument);
+  EXPECT_THROW((void)WeightedGraph(g, weights), std::invalid_argument);
   weights.assign(edges.size() - 1, 1);
-  EXPECT_THROW(WeightedGraph::from_edges(800, edges, weights, &pool),
-               std::invalid_argument);
+  EXPECT_THROW((void)WeightedGraph(g, weights), std::invalid_argument);
 }
 
 }  // namespace
