@@ -281,12 +281,12 @@ void run_telemetry_overhead(bool quick, const std::string& cache,
 /// kSequential oracle (one Network per instance, k round loops) vs the
 /// production kInterleaved mode (ONE engine run on the block-diagonal union
 /// graph). Two workloads: one BFS per part of the expander — runs of a few
-/// dozen rounds, where the union graph's Graph::from_edges build (paid on
-/// every call) outweighs the round loops it saves — and Theorem 1's
-/// production composite, a Lemma 1 PipelineBroadcast per part of perfbench's
-/// bcast-expander graph. The two modes must agree on every composite and
-/// per-instance cost; the speedup is sequential_ms / interleaved_ms, each
-/// the mode's minimum over alternating reps.
+/// dozen rounds, where building the union graph and its engine (paid on
+/// every one-shot call) weighs against the round loops it saves — and
+/// Theorem 1's production composite, a Lemma 1 PipelineBroadcast per part
+/// of perfbench's bcast-expander graph. The two modes must agree on every
+/// composite and per-instance cost; the speedup is sequential_ms /
+/// interleaved_ms, each the mode's minimum over alternating reps.
 void run_composite_row(const Graph& g, const std::string& spec,
                        const std::string& algo, const EdgePartition& partition,
                        const std::function<std::unique_ptr<congest::Algorithm>(

@@ -180,14 +180,20 @@ SpanningTree extract_tree(const Graph& g, const DistributedBfs& bfs) {
   return t;
 }
 
-BfsOutcome run_bfs(const Graph& g, NodeId root,
+BfsOutcome run_bfs(congest::Network& net, NodeId root,
                    const congest::RunOptions& opts) {
-  congest::Network net(g);
+  const Graph& g = net.graph();
   DistributedBfs alg(g, root);
   BfsOutcome out;
   out.cost = net.run(alg, opts);
   out.tree = extract_tree(g, alg);
   return out;
+}
+
+BfsOutcome run_bfs(const Graph& g, NodeId root,
+                   const congest::RunOptions& opts) {
+  congest::Network net(g);
+  return run_bfs(net, root, opts);
 }
 
 }  // namespace fc::algo

@@ -143,11 +143,15 @@ struct SpanningTree {
 /// Build the tree structure from a finished BFS run.
 SpanningTree extract_tree(const Graph& g, const DistributedBfs& bfs);
 
-/// Convenience: run a distributed BFS and return (tree, rounds used).
+/// Convenience: run a distributed BFS and return (tree, rounds used). The
+/// Network& form runs on the caller's engine, over net.graph(), so several
+/// phases on one graph share one engine; the Graph form builds one.
 struct BfsOutcome {
   SpanningTree tree;
   congest::RunResult cost;
 };
+BfsOutcome run_bfs(congest::Network& net, NodeId root,
+                   const congest::RunOptions& opts = {});
 BfsOutcome run_bfs(const Graph& g, NodeId root,
                    const congest::RunOptions& opts = {});
 

@@ -176,18 +176,25 @@ bool ForestEcho::done() const {
   return completed_.load(std::memory_order_relaxed) == n_;
 }
 
-AggregateOutcome aggregate_over_tree(const Graph& g, const SpanningTree& tree,
-                                     AggregateOp op,
+AggregateOutcome aggregate_over_tree(congest::Network& net,
+                                     const SpanningTree& tree, AggregateOp op,
                                      std::vector<std::uint64_t> values,
                                      const congest::RunOptions& opts) {
-  congest::Network net(g);
-  Convergecast alg(g, tree, op, std::move(values));
+  Convergecast alg(net.graph(), tree, op, std::move(values));
   const auto res = net.run(alg, opts);
   AggregateOutcome out;
   out.rounds = res.rounds;
   out.value = alg.result(tree.root);
   out.cancelled = res.cancelled;
   return out;
+}
+
+AggregateOutcome aggregate_over_tree(const Graph& g, const SpanningTree& tree,
+                                     AggregateOp op,
+                                     std::vector<std::uint64_t> values,
+                                     const congest::RunOptions& opts) {
+  congest::Network net(g);
+  return aggregate_over_tree(net, tree, op, std::move(values), opts);
 }
 
 }  // namespace fc::algo

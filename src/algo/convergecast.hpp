@@ -125,12 +125,17 @@ class ForestEcho : public congest::Algorithm {
 /// Convenience wrapper: run one Convergecast over the given spanning tree
 /// (the caller builds it, e.g. with run_bfs) and return the root's
 /// aggregate plus the convergecast's rounds. `value` is valid only when the
-/// run was not cancelled.
+/// run was not cancelled. The Network& form runs on the caller's engine,
+/// over net.graph(); the Graph form builds one.
 struct AggregateOutcome {
   std::uint64_t value = 0;
   std::uint64_t rounds = 0;
   bool cancelled = false;
 };
+AggregateOutcome aggregate_over_tree(congest::Network& net,
+                                     const SpanningTree& tree, AggregateOp op,
+                                     std::vector<std::uint64_t> values,
+                                     const congest::RunOptions& opts = {});
 AggregateOutcome aggregate_over_tree(const Graph& g, const SpanningTree& tree,
                                      AggregateOp op,
                                      std::vector<std::uint64_t> values,

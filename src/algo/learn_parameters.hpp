@@ -30,7 +30,11 @@ struct LearnedParameters {
 /// Run the full Lemma 4 pipeline on `g` starting from `root`:
 /// build a BFS tree, then aggregate min-degree and node count. `opts`
 /// reaches all three engine runs; a non-empty `opts.faults` throws
-/// std::invalid_argument before any run.
+/// std::invalid_argument before any run. The Network& form makes the
+/// three runs on the caller's engine, over net.graph(); the Graph form
+/// builds one.
+LearnedParameters learn_parameters(congest::Network& net, NodeId root,
+                                   const congest::RunOptions& opts = {});
 LearnedParameters learn_parameters(const Graph& g, NodeId root,
                                    const congest::RunOptions& opts = {});
 

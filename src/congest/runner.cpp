@@ -25,13 +25,13 @@ namespace {
 class InterleavedComposite final : public Algorithm {
  public:
   InterleavedComposite(std::span<const EdgeDisjointInstance> work,
-                       std::vector<NodeId> node_base,
-                       std::vector<ArcId> arc_base,
-                       std::vector<std::uint32_t> inst_of_node)
+                       std::span<const NodeId> node_base,
+                       std::span<const ArcId> arc_base,
+                       std::span<const std::uint32_t> inst_of_node)
       : work_(work),
-        node_base_(std::move(node_base)),
-        arc_base_(std::move(arc_base)),
-        inst_of_node_(std::move(inst_of_node)),
+        node_base_(node_base),
+        arc_base_(arc_base),
+        inst_of_node_(inst_of_node),
         finished_(work.size(), 0),
         finish_round_(work.size(), 0) {}
 
@@ -85,9 +85,9 @@ class InterleavedComposite final : public Algorithm {
   }
 
   std::span<const EdgeDisjointInstance> work_;
-  std::vector<NodeId> node_base_;
-  std::vector<ArcId> arc_base_;
-  std::vector<std::uint32_t> inst_of_node_;
+  std::span<const NodeId> node_base_;
+  std::span<const ArcId> arc_base_;
+  std::span<const std::uint32_t> inst_of_node_;
   std::uint64_t cur_round_ = 0;
   // Written only from done()/round_started() (single-threaded, between
   // rounds); handlers read finished_ during rounds — ordered by the pool's
@@ -96,21 +96,43 @@ class InterleavedComposite final : public Algorithm {
   mutable std::vector<std::uint64_t> finish_round_;
 };
 
-void verify_edge_disjoint(const Graph& parent,
-                          std::span<const EdgeDisjointInstance> work) {
-  // Each parent edge may belong to at most one instance, otherwise
-  // concurrent execution would violate bandwidth.
+/// The checks every composite run makes before it starts: no global fault
+/// plan, no null instance, every part's parent_edge map sized to its graph
+/// and pointing into `parent`, and no parent edge claimed twice (concurrent
+/// execution would otherwise violate bandwidth).
+void check_work(const Graph& parent,
+                std::span<const EdgeDisjointInstance> work,
+                const RunOptions& opts) {
+  if (opts.faults != nullptr && !opts.faults->empty())
+    throw std::logic_error(
+        "run_edge_disjoint: set per-instance EdgeDisjointInstance::faults, "
+        "not RunOptions::faults (composite ids are internal)");
   std::vector<std::uint8_t> claimed(parent.edge_count(), 0);
   for (const auto& inst : work) {
     if (!inst.part || !inst.algorithm)
       throw std::logic_error("run_edge_disjoint: null instance");
+    if (inst.part->parent_edge.size() != inst.part->graph.edge_count())
+      throw std::logic_error(
+          "run_edge_disjoint: a part's parent_edge map does not match its "
+          "edge count");
     for (EdgeId e : inst.part->parent_edge) {
+      if (e >= parent.edge_count())
+        throw std::logic_error(
+            "run_edge_disjoint: a part names an edge the parent does not "
+            "have (a part of another graph?)");
       if (claimed[e])
         throw std::logic_error(
             "run_edge_disjoint: parent edge claimed by two instances");
       claimed[e] = 1;
     }
   }
+}
+
+/// Charge instance `res`'s per-edge congestion to its parent edges.
+void fold_congestion(const Subgraph& part, const RunResult& res,
+                     std::vector<std::uint64_t>& parent_congestion) {
+  for (EdgeId e = 0; e < part.graph.edge_count(); ++e)
+    parent_congestion[part.parent_edge[e]] += res.edge_congestion(part.graph, e);
 }
 
 CompositeResult run_sequential(const Graph& parent,
@@ -131,97 +153,19 @@ CompositeResult run_sequential(const Graph& parent,
     out.fault_corrupted += res.fault_corrupted;
     out.finished = out.finished && res.finished;
     out.cancelled = out.cancelled || res.cancelled;
-    const Graph& sub = inst.part->graph;
-    for (EdgeId e = 0; e < sub.edge_count(); ++e)
-      out.parent_edge_congestion[inst.part->parent_edge[e]] +=
-          res.edge_congestion(sub, e);
+    fold_congestion(*inst.part, res, out.parent_edge_congestion);
     out.per_instance.push_back(std::move(res));
   }
   return out;
 }
 
-CompositeResult run_interleaved(const Graph& parent,
-                                std::span<const EdgeDisjointInstance> work,
-                                const RunOptions& opts) {
-  // Build the block-diagonal union: instance i's subgraph occupies nodes
-  // [node_base[i], node_base[i] + n_i) and — because from_edges lays a
-  // node's arcs out in input-edge order, and the union edge list is the
-  // concatenation of the instances' edge lists — arcs
-  // [arc_base[i], arc_base[i] + 2 m_i), with union arc == arc_base[i] +
-  // instance arc. All instance<->engine translation is therefore pure
-  // offset arithmetic; no lookup tables cross the hot path.
-  std::vector<NodeId> node_base(work.size());
-  std::vector<ArcId> arc_base(work.size());
-  NodeId total_n = 0;
-  EdgeId total_m = 0;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    node_base[i] = total_n;
-    arc_base[i] = 2 * total_m;
-    total_n += work[i].part->graph.node_count();
-    total_m += work[i].part->graph.edge_count();
-  }
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(total_m);
-  std::vector<std::uint32_t> inst_of_node(total_n);
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    const Graph& sub = work[i].part->graph;
-    for (EdgeId e = 0; e < sub.edge_count(); ++e)
-      edges.emplace_back(node_base[i] + sub.edge_u(e),
-                         node_base[i] + sub.edge_v(e));
-    std::fill(inst_of_node.begin() + node_base[i],
-              inst_of_node.begin() + node_base[i] + sub.node_count(),
-              static_cast<std::uint32_t>(i));
-  }
-  const Graph uni = Graph::from_edges(total_n, edges);
-
-  // Merge the per-instance fault plans into one union-id plan. Edge ids
-  // translate by the edge prefix (= arc_base/2) because the union edge
-  // list is the concatenation of the instance edge lists.
-  FaultPlan merged;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    if (work[i].faults == nullptr) continue;
-    for (Fault f : work[i].faults->faults) {
-      if (f.kind == FaultKind::kNodeCrash)
-        f.id += node_base[i];
-      else if (f.kind == FaultKind::kArcDrop)
-        f.id += arc_base[i];
-      else
-        f.id += arc_base[i] / 2;
-      merged.faults.push_back(f);
-    }
-  }
-
-  const std::vector<ArcId> arc_base_of = arc_base;
-  InterleavedComposite comp(work, std::move(node_base), std::move(arc_base),
-                            std::move(inst_of_node));
-  Network net(uni);
-  RunOptions local = opts;
-  if (!merged.empty()) local.faults = &merged;
-  const RunResult ures = net.run(comp, local);
-
-  CompositeResult out;
-  out.rounds = ures.rounds;
-  out.messages = ures.messages;
-  out.fault_dropped = ures.fault_dropped;
-  out.fault_corrupted = ures.fault_corrupted;
-  out.finished = ures.finished;
-  out.cancelled = ures.cancelled;
-  out.parent_edge_congestion.assign(parent.edge_count(), 0);
-  out.per_instance.reserve(work.size());
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    const Graph& sub = work[i].part->graph;
-    const ArcId abase = arc_base_of[i];
-    RunResult res;
-    res.rounds = comp.instance_rounds(i, ures.rounds);
-    res.finished = comp.instance_finished(i);
-    res.cancelled = ures.cancelled && !res.finished;
-    res.arc_sends.assign(ures.arc_sends.begin() + abase,
-                         ures.arc_sends.begin() + abase + sub.arc_count());
-    for (const std::uint64_t s : res.arc_sends) res.messages += s;
-    for (EdgeId e = 0; e < sub.edge_count(); ++e)
-      out.parent_edge_congestion[work[i].part->parent_edge[e]] +=
-          res.edge_congestion(sub, e);
-    out.per_instance.push_back(std::move(res));
+std::vector<const Graph*> part_graphs(std::span<const Subgraph* const> parts) {
+  std::vector<const Graph*> out;
+  out.reserve(parts.size());
+  for (const Subgraph* part : parts) {
+    if (part == nullptr)
+      throw std::logic_error("run_edge_disjoint: null instance");
+    out.push_back(&part->graph);
   }
   return out;
 }
@@ -232,20 +176,98 @@ CompositeResult run_edge_disjoint(const Graph& parent,
                                   std::span<const EdgeDisjointInstance> work,
                                   const RunOptions& opts,
                                   CompositeMode mode) {
-  if (opts.faults != nullptr && !opts.faults->empty())
+  if (mode == CompositeMode::kSequential) {
+    check_work(parent, work, opts);
+    return run_sequential(parent, work, opts);
+  }
+  std::vector<const Subgraph*> parts;
+  parts.reserve(work.size());
+  for (const auto& inst : work) parts.push_back(inst.part);
+  return EdgeDisjointEngine(parts).run(parent, work, opts);
+}
+
+EdgeDisjointEngine::EdgeDisjointEngine(std::span<const Subgraph* const> parts)
+    : parts_(parts.begin(), parts.end()),
+      union_(Graph::disjoint_union(part_graphs(parts))),
+      net_(union_) {
+  // disjoint_union lays block i at the node and arc totals of the blocks
+  // before it, so union arc == arc_base_[i] + instance arc.
+  node_base_.reserve(parts_.size());
+  arc_base_.reserve(parts_.size());
+  inst_of_node_.resize(union_.node_count());
+  NodeId node = 0;
+  ArcId arc = 0;
+  for (std::size_t i = 0; i < parts_.size(); ++i) {
+    const Graph& sub = parts_[i]->graph;
+    node_base_.push_back(node);
+    arc_base_.push_back(arc);
+    std::fill_n(inst_of_node_.begin() + node, sub.node_count(),
+                static_cast<std::uint32_t>(i));
+    node += sub.node_count();
+    arc += sub.arc_count();
+  }
+}
+
+CompositeResult EdgeDisjointEngine::run(
+    const Graph& parent, std::span<const EdgeDisjointInstance> work,
+    const RunOptions& opts) {
+  check_work(parent, work, opts);
+  bool bound = work.size() == parts_.size();
+  for (std::size_t i = 0; bound && i < work.size(); ++i)
+    bound = work[i].part == parts_[i];
+  if (!bound)
     throw std::logic_error(
-        "run_edge_disjoint: set per-instance EdgeDisjointInstance::faults, "
-        "not RunOptions::faults (composite ids are internal)");
-  verify_edge_disjoint(parent, work);
+        "EdgeDisjointEngine::run: instance i must be bound to the engine's "
+        "part i");
+  CompositeResult out;
+  out.parent_edge_congestion.assign(parent.edge_count(), 0);
   if (work.empty()) {
-    CompositeResult out;
     out.finished = true;
-    out.parent_edge_congestion.assign(parent.edge_count(), 0);
     return out;
   }
-  return mode == CompositeMode::kSequential
-             ? run_sequential(parent, work, opts)
-             : run_interleaved(parent, work, opts);
+
+  // Merge the per-instance fault plans into one union-id plan. Edge ids
+  // translate by the edge prefix (= arc_base/2) because the union's edges
+  // are the instances' edges, block after block.
+  FaultPlan merged;
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    if (work[i].faults == nullptr) continue;
+    for (Fault f : work[i].faults->faults) {
+      if (f.kind == FaultKind::kNodeCrash)
+        f.id += node_base_[i];
+      else if (f.kind == FaultKind::kArcDrop)
+        f.id += arc_base_[i];
+      else
+        f.id += arc_base_[i] / 2;
+      merged.faults.push_back(f);
+    }
+  }
+
+  InterleavedComposite comp(work, node_base_, arc_base_, inst_of_node_);
+  RunOptions local = opts;
+  if (!merged.empty()) local.faults = &merged;
+  const RunResult ures = net_.run(comp, local);
+
+  out.rounds = ures.rounds;
+  out.messages = ures.messages;
+  out.fault_dropped = ures.fault_dropped;
+  out.fault_corrupted = ures.fault_corrupted;
+  out.finished = ures.finished;
+  out.cancelled = ures.cancelled;
+  out.per_instance.reserve(work.size());
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    const Subgraph& part = *work[i].part;
+    const auto sends = ures.arc_sends.begin() + arc_base_[i];
+    RunResult res;
+    res.rounds = comp.instance_rounds(i, ures.rounds);
+    res.finished = comp.instance_finished(i);
+    res.cancelled = ures.cancelled && !res.finished;
+    res.arc_sends.assign(sends, sends + part.graph.arc_count());
+    for (const std::uint64_t s : res.arc_sends) res.messages += s;
+    fold_congestion(part, res, out.parent_edge_congestion);
+    out.per_instance.push_back(std::move(res));
+  }
+  return out;
 }
 
 }  // namespace fc::congest

@@ -6,21 +6,26 @@
 // instances simultaneously is a single valid CONGEST execution on the
 // parent graph: in any global round every edge carries at most the one
 // message of the unique instance that owns it. The runner exploits this
-// literally: the default kInterleaved mode runs ALL instances inside ONE
-// engine execution on the block-diagonal union of the instance graphs —
-// one round loop, one delivery pass, one pool — with a composite Algorithm
-// multiplexing start/step/done into the per-instance blocks. Each
-// instance's block mirrors its subgraph's CSR at a fixed node/arc offset
-// (Graph::from_edges lays arcs out in input-edge order, so the offsets are
-// exact), which makes the per-instance translation pure arithmetic:
-// Context::block_view. kInterleaved is the production mode: it beats one
-// run per instance on Theorem 1's per-part Lemma 1 pipelines (bench_engine
-// N4; docs/ARCHITECTURE.md "Round engine" has the numbers). kSequential —
-// one Network per instance, one after another — is its differential
-// oracle, not a production path: the two modes are bit-identical in
-// composite rounds, messages, parent congestion, and per-instance
-// rounds/finished/arc_sends (the differential tests and bench_engine's N4
-// rows hold them to that). Edge-disjointness is verified, not assumed.
+// literally: an EdgeDisjointEngine runs ALL instances inside ONE engine
+// execution on the block-diagonal union of the instance graphs — one round
+// loop, one delivery pass, one pool — with a composite Algorithm
+// multiplexing start/step/done into the per-instance blocks. The union is
+// Graph::disjoint_union of the parts, so each instance's block mirrors its
+// subgraph's CSR at a fixed node/arc offset, which makes the per-instance
+// translation pure arithmetic: Context::block_view.
+//
+// One engine serves every composite over the same list of parts: Theorem
+// 1 runs the part BFS and then the per-part Lemma 1 pipelines on one
+// union and one Network (core::decompose builds it; core::Decomposition
+// carries it). run_edge_disjoint is the one-shot form: kInterleaved builds
+// a temporary engine for the call, and kSequential — one Network per
+// instance, one after another — is its differential oracle, not a
+// production path. The two modes are bit-identical in composite rounds,
+// messages, parent congestion, and per-instance rounds/finished/arc_sends
+// (the differential tests and bench_engine's N4 rows hold them to that),
+// and a reused engine is bit-identical to a fresh one, because
+// Network::run resets all per-run state. Edge-disjointness and the parts'
+// parent_edge maps are verified on every run, not assumed.
 //
 // Costs combine the same way in both modes: rounds = max over instances
 // (they run concurrently), messages = sum, and per-parent-edge congestion
@@ -31,7 +36,7 @@
 // run, or each sequential run). A cancelled composite reports
 // CompositeResult::cancelled.
 //
-// kInterleaved caveats (documented asymmetries, not accounting bugs):
+// Interleaved caveats (documented asymmetries, not accounting bugs):
 //  * per_instance[i].undelivered is 0 — in-flight sends of the union run's
 //    final round are not split per instance.
 //  * a telemetry recorder sees ONE span for the whole composite instead of
@@ -90,8 +95,8 @@ struct EdgeDisjointInstance {
 
 /// How run_edge_disjoint executes its instances.
 enum class CompositeMode : std::uint8_t {
-  /// One engine run on the block-diagonal union graph. The default: k
-  /// instances pay one round loop.
+  /// One engine run on the block-diagonal union graph, through a temporary
+  /// EdgeDisjointEngine. The default: k instances pay one round loop.
   kInterleaved,
   /// Each instance on its own Network, one after another: the
   /// differential oracle of the interleaved mode.
@@ -99,12 +104,50 @@ enum class CompositeMode : std::uint8_t {
 };
 
 /// Run all instances as one concurrent execution. Throws std::logic_error
-/// if two instances claim the same parent edge, or if opts.faults is set
-/// (faults are per instance: EdgeDisjointInstance::faults).
+/// if an instance is null, two instances claim the same parent edge, a
+/// part's parent_edge map does not fit `parent` (wrong size, or an id
+/// >= parent.edge_count()), or opts.faults is set (faults are per
+/// instance: EdgeDisjointInstance::faults).
 CompositeResult run_edge_disjoint(const Graph& parent,
                                   std::span<const EdgeDisjointInstance> work,
                                   const RunOptions& opts = {},
                                   CompositeMode mode =
                                       CompositeMode::kInterleaved);
+
+/// The block-diagonal union of a fixed list of parts and one Network on
+/// it: the interleaved mode's engine, built once and reused by every
+/// composite over the same parts. Not copyable or movable (the Network
+/// points into the union); hold it by pointer to move it.
+class EdgeDisjointEngine {
+ public:
+  /// Builds the union (Graph::disjoint_union) and its Network. The parts
+  /// must outlive the engine and stay where they are. Throws
+  /// std::logic_error on a null part.
+  explicit EdgeDisjointEngine(std::span<const Subgraph* const> parts);
+  EdgeDisjointEngine(const EdgeDisjointEngine&) = delete;
+  EdgeDisjointEngine& operator=(const EdgeDisjointEngine&) = delete;
+
+  /// One composite run: results and checks as run_edge_disjoint's
+  /// kInterleaved mode. Instance i must be bound to part i of the
+  /// constructor's list (same count, same Subgraph objects); other work
+  /// throws std::logic_error.
+  CompositeResult run(const Graph& parent,
+                      std::span<const EdgeDisjointInstance> work,
+                      const RunOptions& opts = {});
+
+  /// Composite runs started on this engine.
+  std::uint64_t runs_started() const { return net_.runs_started(); }
+
+ private:
+  std::vector<const Subgraph*> parts_;
+  // Part i occupies union nodes [node_base_[i], node_base_[i] + n_i) and
+  // arcs [arc_base_[i], arc_base_[i] + 2 m_i); inst_of_node_ inverts the
+  // node ranges.
+  std::vector<NodeId> node_base_;
+  std::vector<ArcId> arc_base_;
+  std::vector<std::uint32_t> inst_of_node_;
+  Graph union_;
+  Network net_;
+};
 
 }  // namespace fc::congest

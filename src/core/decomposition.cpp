@@ -34,18 +34,22 @@ Decomposition decompose(const Graph& g, std::uint32_t lambda,
 
   // One BFS per part from a common root. The parts are edge-disjoint, so
   // all BFS instances execute concurrently; the round cost is the max.
+  std::vector<const Subgraph*> parts;
   std::vector<std::unique_ptr<algo::DistributedBfs>> algs;
   std::vector<congest::EdgeDisjointInstance> work;
+  parts.reserve(out.parts);
   algs.reserve(out.parts);
   work.reserve(out.parts);
   for (auto& part : out.partition.parts) {
+    parts.push_back(&part);
     algs.push_back(
         std::make_unique<algo::DistributedBfs>(part.graph, opts.root));
     work.push_back({&part, algs.back().get()});
   }
-  const auto composite = congest::run_edge_disjoint(g, work, opts);
-  out.messages = composite.messages;
-  out.cancelled = composite.cancelled;
+  out.engine = std::make_unique<congest::EdgeDisjointEngine>(parts);
+  out.bfs = out.engine->run(g, work, opts);
+  out.messages = out.bfs.messages;
+  out.cancelled = out.bfs.cancelled;
 
   out.trees.reserve(out.parts);
   out.spanning.reserve(out.parts);
@@ -62,7 +66,7 @@ Decomposition decompose(const Graph& g, std::uint32_t lambda,
   // tree edge when λ' = O(log n); for larger λ' the votes pipeline, adding
   // O(λ'/ log n) ≤ O(depth) extra rounds which the 2x already dominates).
   const auto parent_bfs = bfs_tree(g, opts.root);
-  out.check_rounds = composite.rounds + 2ull * parent_bfs.depth();
+  out.check_rounds = out.bfs.rounds + 2ull * parent_bfs.depth();
   return out;
 }
 

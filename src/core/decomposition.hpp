@@ -11,9 +11,13 @@
 // `decompose` also runs the distributed validity check from the paper's
 // remark: one BFS per part, executed concurrently (the parts are
 // edge-disjoint), each costing O((n log n)/δ) rounds, plus a convergecast
-// of the validity votes up a parent-graph BFS tree.
+// of the validity votes up a parent-graph BFS tree. The part BFS runs on
+// one congest::EdgeDisjointEngine over the parts, which the Decomposition
+// keeps: Theorem 1 then runs its per-part Lemma 1 pipelines on the same
+// union and engine, from the trees of that same BFS.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "algo/bfs.hpp"
@@ -30,6 +34,9 @@ struct DecompositionOptions : congest::RunOptions {
   NodeId root = 0;           // BFS root used by the validity check
 };
 
+/// Move-only: `engine` points into `partition.parts`, whose elements stay
+/// where they are when the Decomposition moves (adding or removing parts
+/// would leave the engine dangling).
 struct Decomposition {
   std::uint32_t parts = 0;
   EdgePartition partition;                 // subgraphs + edge colours
@@ -42,6 +49,12 @@ struct Decomposition {
   /// The per-part BFS was cut by an expired cancel token: the trees are
   /// truncated, so `spanning` says nothing about the decomposition.
   bool cancelled = false;
+  /// The part BFS composite itself: its rounds (check_rounds without the
+  /// vote), messages and parent-edge congestion.
+  congest::CompositeResult bfs;
+  /// The union of partition.parts and its engine, which ran the part BFS;
+  /// any later composite whose instance i is bound to part i reuses it.
+  std::unique_ptr<congest::EdgeDisjointEngine> engine;
 
   bool all_spanning() const;
   /// Max BFS-tree depth among spanning parts; depth d implies the part's
@@ -51,7 +64,8 @@ struct Decomposition {
   static double diameter_budget(NodeId n, std::uint32_t min_degree, double C);
 };
 
-/// Compute the decomposition, build one BFS tree per part, and validate.
+/// Compute the decomposition, build its engine, run one BFS per part on it
+/// from opts.root, and validate.
 Decomposition decompose(const Graph& g, std::uint32_t lambda,
                         const DecompositionOptions& opts = {});
 

@@ -47,18 +47,21 @@ FastBroadcastReport finish(FastBroadcastReport r) {
   return r;
 }
 
-/// Phase 1: leader election (optional), BFS on G, Lemma 3 numbering.
-/// Returns the root and the renumbered messages (ids remapped to [0, k));
-/// charges the rounds and messages to `report.setup_rounds` /
-/// `report.messages`, and stops at the first cancelled run
-/// (`report.cancelled`, nothing numbered). Rejects a fault plan first:
-/// every entry point starts here.
+/// Phase 1 on the parent graph's engine: leader election (optional), BFS
+/// on G, Lemma 3 numbering. Returns the root, the BFS tree with its cost
+/// and the renumbered messages (ids remapped to [0, k)); charges the
+/// rounds and messages to `report.setup_rounds` / `report.messages`, and
+/// stops at the first cancelled run (`report.cancelled`, nothing
+/// numbered). Rejects a fault plan first: every entry point starts here.
 struct SetupResult {
   NodeId root = 0;
+  algo::SpanningTree tree;
+  std::uint64_t bfs_rounds = 0;
+  std::uint64_t bfs_messages = 0;
   std::vector<algo::PlacedMessage> numbered;
 };
 
-SetupResult setup_phase(const Graph& g,
+SetupResult setup_phase(congest::Network& net,
                         std::span<const algo::PlacedMessage> messages,
                         const FastBroadcastOptions& opts,
                         FastBroadcastReport& report) {
@@ -66,6 +69,7 @@ SetupResult setup_phase(const Graph& g,
     throw std::invalid_argument(
         "fast_broadcast: fault plans are not supported (the phases are "
         "separate engine runs with no single fault clock)");
+  const Graph& g = net.graph();
   SetupResult out;
   const auto add = [&report](const congest::RunResult& res) {
     report.setup_rounds += res.rounds;
@@ -75,22 +79,23 @@ SetupResult setup_phase(const Graph& g,
   };
 
   if (opts.elect_leader) {
-    congest::Network net(g);
     algo::LeaderElection le(g);
     if (!add(net.run(le, opts))) return out;
     out.root = le.leader();
   }
 
-  auto bfs = algo::run_bfs(g, out.root, opts);
+  auto bfs = algo::run_bfs(net, out.root, opts);
   if (!add(bfs.cost)) return out;
   if (bfs.tree.covered != g.node_count())
     throw std::invalid_argument("fast_broadcast: graph is disconnected");
+  out.tree = std::move(bfs.tree);
+  out.bfs_rounds = bfs.cost.rounds;
+  out.bfs_messages = bfs.cost.messages;
 
   // Lemma 3: number the items so that part assignment is a local decision.
   std::vector<std::uint64_t> counts(g.node_count(), 0);
   for (const auto& m : messages) ++counts[m.origin];
-  congest::Network net(g);
-  algo::IdAssignment ids(g, bfs.tree, counts);
+  algo::IdAssignment ids(g, out.tree, counts);
   if (!add(net.run(ids, opts))) return out;
 
   // Renumber each node's messages consecutively from its assigned range.
@@ -102,40 +107,22 @@ SetupResult setup_phase(const Graph& g,
   return out;
 }
 
-/// Phases 3+4 for a fixed part count: concurrent per-part BFS, then
-/// concurrent per-part pipelined broadcast. Fills the report's phase
-/// fields; returns false when some part failed to span (a cancelled run
-/// returns true with report.cancelled set — there is nothing to retry).
-bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
-                          std::uint64_t seed,
+/// Phases 3+4 on a decomposition whose part BFS has run: charges that BFS
+/// as the part-BFS phase, then broadcasts concurrently in every part
+/// (Lemma 1) on the decomposition's engine, from that BFS's trees. Fills
+/// the report's phase fields; a cancelled part BFS stops after its charge.
+void broadcast_over_parts(const Graph& g, const Decomposition& dec,
                           const std::vector<algo::PlacedMessage>& numbered,
                           const FastBroadcastOptions& opts,
                           FastBroadcastReport& report) {
-  const std::uint64_t k = numbered.size();
-  EdgePartition partition = random_edge_partition(g, parts, seed);
-
-  // Concurrent BFS per part.
-  std::vector<std::unique_ptr<algo::DistributedBfs>> bfs_algs;
-  std::vector<congest::EdgeDisjointInstance> bfs_work;
-  for (auto& part : partition.parts) {
-    bfs_algs.push_back(std::make_unique<algo::DistributedBfs>(part.graph, root));
-    bfs_work.push_back({&part, bfs_algs.back().get()});
-  }
-  const auto bfs_res = congest::run_edge_disjoint(g, bfs_work, opts);
-  report.part_bfs_rounds = bfs_res.rounds;
-  report.messages += bfs_res.messages;
-  report.cancelled = bfs_res.cancelled;
-  if (report.cancelled) return true;
-
-  std::vector<algo::SpanningTree> trees;
-  trees.reserve(parts);
-  for (std::uint32_t i = 0; i < parts; ++i) {
-    trees.push_back(algo::extract_tree(partition.parts[i].graph, *bfs_algs[i]));
-    if (trees.back().covered != g.node_count()) return false;
-  }
+  report.part_bfs_rounds = dec.bfs.rounds;
+  report.messages += dec.bfs.messages;
+  report.cancelled = dec.cancelled;
+  if (report.cancelled) return;
 
   // Assign messages: part i owns ids [i*K, (i+1)*K).
-  const std::uint64_t K = (k + parts - 1) / parts;
+  const std::uint32_t parts = dec.parts;
+  const std::uint64_t K = (numbered.size() + parts - 1) / parts;
   std::vector<std::vector<algo::PlacedMessage>> assigned(parts);
   for (const auto& m : numbered) {
     const auto part = static_cast<std::uint32_t>(
@@ -147,15 +134,16 @@ bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
   std::vector<std::unique_ptr<algo::PipelineBroadcast>> bc_algs;
   std::vector<congest::EdgeDisjointInstance> bc_work;
   for (std::uint32_t i = 0; i < parts; ++i) {
+    const Subgraph& part = dec.partition.parts[i];
     bc_algs.push_back(std::make_unique<algo::PipelineBroadcast>(
-        partition.parts[i].graph, trees[i], assigned[i]));
-    bc_work.push_back({&partition.parts[i], bc_algs.back().get()});
+        part.graph, dec.trees[i], assigned[i]));
+    bc_work.push_back({&part, bc_algs.back().get()});
   }
-  const auto bc_res = congest::run_edge_disjoint(g, bc_work, opts);
+  const auto bc_res = dec.engine->run(g, bc_work, opts);
   report.broadcast_rounds = bc_res.rounds;
   report.messages += bc_res.messages;
   report.cancelled = bc_res.cancelled;
-  report.max_edge_congestion = std::max(bfs_res.max_parent_edge_congestion(),
+  report.max_edge_congestion = std::max(dec.bfs.max_parent_edge_congestion(),
                                         bc_res.max_parent_edge_congestion());
 
   // Verify completeness: every node must hold all k messages, i.e. for each
@@ -171,7 +159,16 @@ bool broadcast_over_parts(const Graph& g, NodeId root, std::uint32_t parts,
       }
     }
   }
-  return true;
+}
+
+/// The decomposition options of a broadcast: its engine knobs and C.
+DecompositionOptions decomposition_options(const FastBroadcastOptions& opts,
+                                           std::uint64_t seed, NodeId root) {
+  DecompositionOptions dopts{opts};
+  dopts.C = opts.C;
+  dopts.seed = seed;
+  dopts.root = root;
+  return dopts;
 }
 
 }  // namespace
@@ -185,24 +182,28 @@ FastBroadcastReport run_fast_broadcast(
   report.k = messages.size();
   report.lambda_used = lambda;
 
-  const SetupResult setup = setup_phase(g, messages, opts, report);
+  SetupResult setup;
+  {
+    // The parent graph's engine is gone before the union engine exists.
+    congest::Network net(g);
+    setup = setup_phase(net, messages, opts, report);
+  }
   if (report.cancelled) return finish(report);
-
-  const std::uint32_t parts = theorem2_part_count(lambda, g.node_count(), opts.C);
-  report.parts = parts;
 
   std::uint64_t seed = opts.seed;
   for (std::uint32_t attempt = 0; attempt <= opts.max_retries; ++attempt) {
-    FastBroadcastReport trial = report;
-    if (broadcast_over_parts(g, setup.root, parts, seed, setup.numbered, opts,
-                             trial)) {
-      trial.retries = attempt;
-      return finish(trial);
+    const Decomposition dec =
+        decompose(g, lambda, decomposition_options(opts, seed, setup.root));
+    report.parts = dec.parts;
+    if (dec.cancelled || dec.all_spanning()) {
+      report.retries = attempt;
+      broadcast_over_parts(g, dec, setup.numbered, opts, report);
+      return finish(report);
     }
     // A part failed to span (probability n^{-Ω(C)}): recolour and retry.
     // The retry costs another concurrent-BFS sweep, which we account.
-    report.search_rounds += trial.part_bfs_rounds;
-    report.messages = trial.messages;
+    report.search_rounds += dec.bfs.rounds;
+    report.messages += dec.bfs.messages;
     seed = mix64(seed, 0x66617374636173ULL);
   }
   throw std::runtime_error(
@@ -216,28 +217,35 @@ FastBroadcastReport run_fast_broadcast_oblivious(
   FastBroadcastReport report;
   report.k = messages.size();
 
-  const SetupResult setup = setup_phase(g, messages, opts, report);
-  if (report.cancelled) return finish(report);
+  SetupResult setup;
+  std::uint32_t delta = 0;
+  {
+    // The parent graph's engine is gone before the first probe's engine
+    // exists.
+    congest::Network net(g);
+    setup = setup_phase(net, messages, opts, report);
+    if (report.cancelled) return finish(report);
 
-  // Lemma 4 (δ only): one convergecast over the parent BFS tree.
-  const auto learned = algo::learn_parameters(g, setup.root, opts);
-  report.setup_rounds += learned.rounds;
-  report.cancelled = learned.cancelled;
-  if (report.cancelled) return finish(report);
-  const std::uint32_t delta = learned.min_degree;
+    // Lemma 4 (δ only): one convergecast over a parent BFS tree.
+    const auto learned = algo::learn_parameters(net, setup.root, opts);
+    report.setup_rounds += learned.rounds;
+    report.cancelled = learned.cancelled;
+    if (report.cancelled) return finish(report);
+    delta = learned.min_degree;
+  }
 
   // Exponential search: λ̃ = δ, δ/2, ... Validate with the O((n log n)/δ)
-  // per-part BFS sweep; accept when all parts span within the budget.
+  // per-part BFS sweep; accept when all parts span within the budget, and
+  // broadcast on the validated probe's parts, engine and trees.
   const double budget =
       opts.validity_slack *
       Decomposition::diameter_budget(g.node_count(), delta, opts.C);
   std::uint32_t lambda_tilde = std::max<std::uint32_t>(delta, 1);
   for (std::uint32_t iter = 0;; ++iter) {
-    DecompositionOptions dopts{opts};
-    dopts.C = opts.C;
-    dopts.seed = mix64(opts.seed, iter, 0x6f626c7376ULL);
-    dopts.root = setup.root;
-    const Decomposition dec = decompose(g, lambda_tilde, dopts);
+    const Decomposition dec = decompose(
+        g, lambda_tilde,
+        decomposition_options(opts, mix64(opts.seed, iter, 0x6f626c7376ULL),
+                              setup.root));
     report.search_rounds += dec.check_rounds;
     report.messages += dec.messages;
     ++report.search_iterations;
@@ -250,11 +258,7 @@ FastBroadcastReport run_fast_broadcast_oblivious(
     if (valid) {
       report.lambda_used = lambda_tilde;
       report.parts = dec.parts;
-      if (!broadcast_over_parts(g, setup.root, dec.parts, dopts.seed,
-                                setup.numbered, opts, report))
-        throw std::runtime_error(
-            "fast_broadcast_oblivious: validated decomposition failed on "
-            "re-run");
+      broadcast_over_parts(g, dec, setup.numbered, opts, report);
       return finish(report);
     }
     if (lambda_tilde == 1)
@@ -273,17 +277,15 @@ FastBroadcastReport run_textbook_broadcast(
   report.parts = 1;
   report.lambda_used = 1;
 
-  const SetupResult setup = setup_phase(g, messages, opts, report);
-  if (report.cancelled) return finish(report);
-
-  auto bfs = algo::run_bfs(g, setup.root, opts);
-  report.part_bfs_rounds = bfs.cost.rounds;
-  report.messages += bfs.cost.messages;
-  report.cancelled = bfs.cost.cancelled;
-  if (report.cancelled) return finish(report);
-
   congest::Network net(g);
-  algo::PipelineBroadcast alg(g, bfs.tree, setup.numbered);
+  const SetupResult setup = setup_phase(net, messages, opts, report);
+  if (report.cancelled) return finish(report);
+
+  // Lemma 1 on the setup BFS tree, whose BFS is charged as this
+  // broadcast's one part BFS.
+  report.part_bfs_rounds = setup.bfs_rounds;
+  report.messages += setup.bfs_messages;
+  algo::PipelineBroadcast alg(g, setup.tree, setup.numbered);
   const auto res = net.run(alg, opts);
   report.broadcast_rounds = res.rounds;
   report.messages += res.messages;

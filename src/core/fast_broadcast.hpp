@@ -10,6 +10,22 @@
 //  4. Messages with numbers in [(i-1)K, iK) are broadcast inside part i via
 //     Lemma 1 — O((n log n)/δ + (k log n)/λ) rounds, all parts concurrent.
 // Total rounds = phase sums; every phase is measured, not estimated.
+//
+// Engines: each entry point simulates each deterministic phase once and
+// builds each engine once. Phase 1 (and the oblivious variant's Lemma 4
+// runs, and the textbook pipeline) run on one Network over G. Phases 2–3
+// are one core::decompose call, whose union engine then runs phase 4: one
+// union and one engine per partition. The oblivious search broadcasts on
+// its validated probe itself, and the textbook pipeline runs on the setup
+// BFS tree. The Network over G is gone before the first union engine is
+// built, so at most one engine is alive at a time.
+//
+// Accounting: `part_bfs_rounds`, `messages` and `max_edge_congestion`
+// charge the BFS whose trees Lemma 1 uses — the validated probe's for the
+// oblivious variant (whose rounds and messages also count toward the
+// search, as the probe that found λ̃), the setup BFS for the textbook
+// baseline (counted in `setup_rounds` too). The reports equal those of
+// an implementation that re-ran that BFS for the broadcast.
 
 #include <cstdint>
 #include <span>
@@ -23,7 +39,7 @@ namespace fc::core {
 
 /// The engine knobs apply to every engine run of the broadcast — setup,
 /// the oblivious variant's Lemma 4 δ-learning, per-part BFS, per-part
-/// Lemma 1 pipeline, oblivious probes. A cancelled run stops the broadcast
+/// Lemma 1 pipeline, oblivious probes, the textbook pipeline. A cancelled run stops the broadcast
 /// (FastBroadcastReport::cancelled). A non-empty fault plan is rejected
 /// with std::invalid_argument before any run: the phases are separate
 /// engine runs with no single fault clock.

@@ -239,6 +239,46 @@ Graph Graph::from_edges(NodeId n,
   return g;
 }
 
+Graph Graph::disjoint_union(std::span<const Graph* const> blocks) {
+  Graph g;
+  EdgeId m = 0;
+  for (const Graph* b : blocks) {
+    g.n_ += b->n_;
+    m += b->edge_count();
+  }
+  g.offsets_.resize(std::size_t{g.n_} + 1);
+  for (auto* a : {&g.arc_head_, &g.arc_tail_, &g.arc_rev_, &g.arc_edge_})
+    a->resize(std::size_t{2} * m);
+  for (auto* a : {&g.edge_u_, &g.edge_v_, &g.edge_arc_}) a->resize(m);
+  // Copy `count` ids of `from` to `to[at...]`, each shifted by `shift`.
+  const auto copy = [](const std::vector<std::uint32_t>& from,
+                       std::size_t count, std::vector<std::uint32_t>& to,
+                       std::size_t at, std::uint32_t shift) {
+    std::transform(from.begin(), from.begin() + count, to.begin() + at,
+                   [shift](std::uint32_t x) { return x + shift; });
+  };
+  NodeId node_base = 0;
+  EdgeId edge_base = 0;
+  for (const Graph* b : blocks) {
+    const ArcId arc_base = 2 * edge_base;
+    const EdgeId mb = b->edge_count();
+    // A block's offsets_ end with its arc count, which is the next block's
+    // first offset, so only its first n entries are copied.
+    copy(b->offsets_, b->n_, g.offsets_, node_base, arc_base);
+    copy(b->arc_head_, 2 * mb, g.arc_head_, arc_base, node_base);
+    copy(b->arc_tail_, 2 * mb, g.arc_tail_, arc_base, node_base);
+    copy(b->arc_rev_, 2 * mb, g.arc_rev_, arc_base, arc_base);
+    copy(b->arc_edge_, 2 * mb, g.arc_edge_, arc_base, edge_base);
+    copy(b->edge_u_, mb, g.edge_u_, edge_base, node_base);
+    copy(b->edge_v_, mb, g.edge_v_, edge_base, node_base);
+    copy(b->edge_arc_, mb, g.edge_arc_, edge_base, arc_base);
+    node_base += b->n_;
+    edge_base += mb;
+  }
+  g.offsets_[g.n_] = 2 * m;
+  return g;
+}
+
 ArcId Graph::find_arc(NodeId v, NodeId w) const {
   for (ArcId a = arc_begin(v); a < arc_end(v); ++a)
     if (arc_head_[a] == w) return a;

@@ -77,6 +77,16 @@ class Graph {
   static Graph from_edges_serial(
       NodeId n, std::span<const std::pair<NodeId, NodeId>> edges);
 
+  /// The block-diagonal union of `blocks`: block i's nodes, arcs and edges
+  /// follow those of blocks 0..i-1, each shifted by the totals before it.
+  /// The CSR arrays are laid end to end with those offsets added, in
+  /// O(n + m) and with no validation (each block is already a simple
+  /// graph). The layout equals from_edges over the concatenation of the
+  /// blocks' offset edge lists: block i's arc a is union arc a + 2 m_<i,
+  /// where m_<i counts the edges of blocks 0..i-1 — the property
+  /// congest::EdgeDisjointEngine's offset translation rests on.
+  static Graph disjoint_union(std::span<const Graph* const> blocks);
+
   NodeId node_count() const { return n_; }
   EdgeId edge_count() const { return static_cast<EdgeId>(edge_u_.size()); }
   ArcId arc_count() const { return static_cast<ArcId>(arc_head_.size()); }

@@ -272,5 +272,41 @@ TEST(LearnParameters, FaultPlansAreRejectedBeforeAnyRun) {
   EXPECT_EQ(learned.node_count, 16u);
 }
 
+TEST(NetworkOverloads, MatchTheGraphFormsOnOneEngine) {
+  // run_bfs, aggregate_over_tree and learn_parameters on a caller's engine
+  // equal their Graph forms, which build one per call, and start 1, 1 and 3
+  // runs on it.
+  Rng rng(7);
+  const Graph g = gen::random_regular(80, 6, rng);
+  congest::Network net(g);
+
+  const BfsOutcome bfs = run_bfs(net, 5);
+  EXPECT_EQ(net.runs_started(), 1u);
+  const BfsOutcome bfs_want = run_bfs(g, 5);
+  EXPECT_EQ(bfs.cost.rounds, bfs_want.cost.rounds);
+  EXPECT_EQ(bfs.cost.messages, bfs_want.cost.messages);
+  EXPECT_EQ(bfs.cost.arc_sends, bfs_want.cost.arc_sends);
+  EXPECT_EQ(bfs.tree.parent_arc, bfs_want.tree.parent_arc);
+  EXPECT_EQ(bfs.tree.depth_of, bfs_want.tree.depth_of);
+
+  std::vector<std::uint64_t> vals(g.node_count());
+  for (auto& v : vals) v = rng.below(1000);
+  const auto sum = aggregate_over_tree(net, bfs.tree, AggregateOp::kSum, vals);
+  EXPECT_EQ(net.runs_started(), 2u);
+  const auto sum_want =
+      aggregate_over_tree(g, bfs.tree, AggregateOp::kSum, vals);
+  EXPECT_EQ(sum.value, sum_want.value);
+  EXPECT_EQ(sum.rounds, sum_want.rounds);
+
+  const LearnedParameters learned = learn_parameters(net, 5);
+  EXPECT_EQ(net.runs_started(), 5u);
+  const LearnedParameters learned_want = learn_parameters(g, 5);
+  EXPECT_EQ(learned.min_degree, learned_want.min_degree);
+  EXPECT_EQ(learned.node_count, learned_want.node_count);
+  EXPECT_EQ(learned.rounds, learned_want.rounds);
+  EXPECT_EQ(learned.min_degree, 6u);
+  EXPECT_EQ(learned.node_count, 80u);
+}
+
 }  // namespace
 }  // namespace fc::algo

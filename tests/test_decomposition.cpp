@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "graph/generators.hpp"
 #include "graph/mincut.hpp"
 #include "graph/properties.hpp"
@@ -103,6 +105,41 @@ TEST(Decomposition, BudgetFormula) {
   EXPECT_DOUBLE_EQ(Decomposition::diameter_budget(0, 5, 2.0), 0.0);
   EXPECT_GT(Decomposition::diameter_budget(100, 5, 2.0),
             Decomposition::diameter_budget(100, 10, 2.0));
+}
+
+TEST(Decomposition, CarriesTheEngineOfItsPartBfs) {
+  // The part BFS ran on the decomposition's own engine, and the engine
+  // keeps serving composites over the parts after the Decomposition has
+  // moved: the result equals a one-shot composite on the same parts.
+  Rng rng(5);
+  const Graph g = gen::random_regular(128, 24, rng);
+  DecompositionOptions opts;
+  opts.C = 1.0;
+  Decomposition dec = decompose(g, 24, opts);
+  ASSERT_GE(dec.parts, 2u);
+  ASSERT_NE(dec.engine, nullptr);
+  EXPECT_EQ(dec.engine->runs_started(), 1u);
+  EXPECT_EQ(dec.messages, dec.bfs.messages);
+  EXPECT_EQ(dec.bfs.per_instance.size(), dec.parts);
+  EXPECT_EQ(dec.check_rounds,
+            dec.bfs.rounds + 2ull * bfs_tree(g, opts.root).depth());
+
+  const Decomposition moved = std::move(dec);
+  std::vector<std::unique_ptr<algo::DistributedBfs>> algs;
+  const auto bfs_from_9 = [&] {
+    std::vector<congest::EdgeDisjointInstance> work;
+    for (const Subgraph& part : moved.partition.parts) {
+      algs.push_back(std::make_unique<algo::DistributedBfs>(part.graph, 9));
+      work.push_back({&part, algs.back().get()});
+    }
+    return work;
+  };
+  const auto reused = moved.engine->run(g, bfs_from_9(), opts);
+  EXPECT_EQ(moved.engine->runs_started(), 2u);
+  const auto once = congest::run_edge_disjoint(g, bfs_from_9(), opts);
+  EXPECT_EQ(reused.rounds, once.rounds);
+  EXPECT_EQ(reused.messages, once.messages);
+  EXPECT_EQ(reused.parent_edge_congestion, once.parent_edge_congestion);
 }
 
 class DecompositionSweep

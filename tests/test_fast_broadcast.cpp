@@ -9,7 +9,9 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "lb/bit_meter.hpp"
+#include "scenario/spec.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fc::core {
 namespace {
@@ -275,6 +277,87 @@ TEST(FastBroadcast, CutTrafficRespectsInformationBound) {
   // have crossed the 3-edge bridge cut, so rounds >= k/3.
   EXPECT_GE(static_cast<double>(report.total_rounds),
             theorem3_lower_bound(k, 3));
+}
+
+/// Golden reports: every FastBroadcastReport field of the three entry
+/// points, pinned from the implementation that re-partitioned the
+/// validated probe and re-ran every BFS on a fresh engine. Sharing engines,
+/// unions and BFS runs between phases must not move one number. The cases
+/// cover one part (the dumbbell's and the ring's fast runs), several parts
+/// (the d=32 graph), retries (the d=16 graph with λ overestimated at 40)
+/// and a λ-halving search (the oblivious runs on the dumbbell and the ring
+/// of cliques). Every pool reproduces the same table.
+struct GoldenCase {
+  const char* spec;
+  const char* entry;    // "fast", "oblivious" or "textbook"
+  std::uint32_t lambda;  // the λ handed to the fast entry point
+  FastBroadcastReport want;
+};
+
+const GoldenCase kGolden[] = {
+    {"dumbbell:s=64,bridges=2", "fast", 2,
+     {96, 1, 2, 17, 4, 100, 0, 121, 52479, 149, true, false, 0, 0}},
+    {"dumbbell:s=64,bridges=2", "oblivious", 2,
+     {96, 1, 15, 35, 4, 100, 35, 174, 69827, 149, true, false, 0, 3}},
+    {"dumbbell:s=64,bridges=2", "textbook", 2,
+     {96, 1, 1, 17, 4, 100, 0, 121, 52479, 149, true, false, 0, 0}},
+    {"random_regular:n=256,d=32,seed=3", "fast", 64,
+     {96, 5, 64, 17, 6, 27, 0, 50, 63444, 29, true, false, 0, 0}},
+    {"random_regular:n=256,d=32,seed=3", "oblivious", 64,
+     {96, 2, 32, 35, 4, 52, 10, 101, 71794, 57, true, false, 0, 1}},
+    {"random_regular:n=256,d=32,seed=3", "textbook", 64,
+     {96, 1, 1, 17, 4, 100, 0, 121, 64340, 104, true, false, 0, 0}},
+    {"random_regular:n=256,d=16,seed=2", "fast", 40,
+     {96, 3, 40, 17, 7, 39, 26, 89, 55521, 45, true, false, 3, 0}},
+    {"random_regular:n=256,d=16,seed=2", "oblivious", 40,
+     {96, 1, 16, 35, 4, 100, 10, 149, 49754, 108, true, false, 0, 1}},
+    {"random_regular:n=256,d=16,seed=2", "textbook", 40,
+     {96, 1, 1, 17, 4, 100, 0, 121, 45913, 108, true, false, 0, 0}},
+    {"ring_of_cliques:groups=6,width=48", "fast", 2,
+     {96, 1, 2, 29, 7, 103, 0, 139, 115676, 149, true, false, 0, 0}},
+    {"ring_of_cliques:groups=6,width=48", "oblivious", 2,
+     {96, 1, 11, 62, 7, 103, 59, 231, 136417, 149, true, false, 0, 3}},
+    {"ring_of_cliques:groups=6,width=48", "textbook", 2,
+     {96, 1, 1, 29, 7, 103, 0, 139, 115676, 149, true, false, 0, 0}},
+};
+
+void expect_same_report(const FastBroadcastReport& got,
+                        const FastBroadcastReport& want) {
+  EXPECT_EQ(got.k, want.k);
+  EXPECT_EQ(got.parts, want.parts);
+  EXPECT_EQ(got.lambda_used, want.lambda_used);
+  EXPECT_EQ(got.setup_rounds, want.setup_rounds);
+  EXPECT_EQ(got.part_bfs_rounds, want.part_bfs_rounds);
+  EXPECT_EQ(got.broadcast_rounds, want.broadcast_rounds);
+  EXPECT_EQ(got.search_rounds, want.search_rounds);
+  EXPECT_EQ(got.total_rounds, want.total_rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.max_edge_congestion, want.max_edge_congestion);
+  EXPECT_EQ(got.complete, want.complete);
+  EXPECT_EQ(got.cancelled, want.cancelled);
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.search_iterations, want.search_iterations);
+}
+
+TEST(FastBroadcastGolden, EveryFieldAtPools1_2_8) {
+  for (const std::size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    FastBroadcastOptions opts;
+    opts.pool = &pool;
+    for (const GoldenCase& c : kGolden) {
+      SCOPED_TRACE(std::string(c.spec) + " " + c.entry + " pool " +
+                   std::to_string(threads));
+      const Graph g = scenario::build_graph(std::string(c.spec));
+      Rng rng(19);
+      const auto msgs = random_messages(g, 96, rng);
+      const std::string entry = c.entry;
+      const FastBroadcastReport got =
+          entry == "fast"        ? run_fast_broadcast(g, c.lambda, msgs, opts)
+          : entry == "oblivious" ? run_fast_broadcast_oblivious(g, msgs, opts)
+                                 : run_textbook_broadcast(g, msgs, opts);
+      expect_same_report(got, c.want);
+    }
+  }
 }
 
 TEST(Predictions, Formulas) {

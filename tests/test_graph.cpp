@@ -141,5 +141,55 @@ TEST(Subgraph, EmptySelection) {
   EXPECT_EQ(s.graph.edge_count(), 0u);
 }
 
+/// Every CSR array of `got` equals `want`'s, read through the accessors.
+void expect_same_csr(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.node_count(), want.node_count());
+  ASSERT_EQ(got.edge_count(), want.edge_count());
+  ASSERT_EQ(got.arc_count(), want.arc_count());
+  for (NodeId v = 0; v < want.node_count(); ++v) {
+    EXPECT_EQ(got.arc_begin(v), want.arc_begin(v)) << v;
+    EXPECT_EQ(got.arc_end(v), want.arc_end(v)) << v;
+  }
+  for (ArcId a = 0; a < want.arc_count(); ++a) {
+    EXPECT_EQ(got.arc_head(a), want.arc_head(a)) << a;
+    EXPECT_EQ(got.arc_tail(a), want.arc_tail(a)) << a;
+    EXPECT_EQ(got.arc_reverse(a), want.arc_reverse(a)) << a;
+    EXPECT_EQ(got.arc_edge(a), want.arc_edge(a)) << a;
+  }
+  for (EdgeId e = 0; e < want.edge_count(); ++e) {
+    EXPECT_EQ(got.edge_u(e), want.edge_u(e)) << e;
+    EXPECT_EQ(got.edge_v(e), want.edge_v(e)) << e;
+    EXPECT_EQ(got.edge_arcs(e), want.edge_arcs(e)) << e;
+  }
+}
+
+TEST(Graph, DisjointUnionMatchesFromEdgesOfTheConcatenation) {
+  // from_edges of the offset, concatenated edge lists is the oracle. The
+  // blocks include an edgeless one, isolated nodes, a nodeless default
+  // Graph, and edge lists in non-canonical input order.
+  Rng rng(12);
+  const Graph regular = gen::random_regular(40, 6, rng);
+  const Graph isolated = Graph::from_edges(7, {{5, 1}, {2, 4}});
+  const Graph edgeless =
+      Graph::from_edges(3, std::vector<std::pair<NodeId, NodeId>>{});
+  const Graph nodeless;
+  const Graph tri = triangle();
+  const std::vector<const Graph*> blocks{&regular, &edgeless, &isolated,
+                                         &nodeless, &tri, &regular};
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  NodeId base = 0;
+  for (const Graph* b : blocks) {
+    for (const auto& [u, v] : b->edge_list())
+      edges.emplace_back(base + v, base + u);  // from_edges canonicalizes
+    base += b->node_count();
+  }
+  expect_same_csr(Graph::disjoint_union(blocks),
+                  Graph::from_edges(base, edges));
+  expect_same_csr(Graph::disjoint_union(std::vector<const Graph*>{&tri}),
+                  tri);
+  expect_same_csr(Graph::disjoint_union({}),
+                  Graph::from_edges(0, std::vector<std::pair<NodeId, NodeId>>{}));
+}
+
 }  // namespace
 }  // namespace fc

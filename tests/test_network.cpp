@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 
+#include "algo/bfs.hpp"
 #include "congest/runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
@@ -231,6 +233,121 @@ TEST(Runner, NullInstanceRejected) {
   const Graph g = gen::cycle(4);
   std::vector<EdgeDisjointInstance> work{{nullptr, nullptr}};
   EXPECT_THROW(run_edge_disjoint(g, work), std::logic_error);
+}
+
+TEST(Runner, RejectsPartsOfAnotherGraph) {
+  // A partition of a 64-node graph run against a 16-node parent names
+  // parent edges the parent does not have: every path must refuse it
+  // before reading or writing by those ids.
+  Rng rng(3);
+  const Graph big = gen::random_regular(64, 8, rng);
+  const Graph parent = gen::random_regular(16, 4, rng);
+  const EdgePartition partition = random_edge_partition(big, 2, 7);
+  HelloAll a0(partition.parts[0].graph), a1(partition.parts[1].graph);
+  const std::vector<EdgeDisjointInstance> work{{&partition.parts[0], &a0},
+                                               {&partition.parts[1], &a1}};
+  for (const CompositeMode mode :
+       {CompositeMode::kInterleaved, CompositeMode::kSequential})
+    EXPECT_THROW(run_edge_disjoint(parent, work, {}, mode), std::logic_error);
+  const std::vector<const Subgraph*> parts{&partition.parts[0],
+                                           &partition.parts[1]};
+  EdgeDisjointEngine engine(parts);
+  EXPECT_THROW(engine.run(parent, work), std::logic_error);
+  EXPECT_EQ(engine.runs_started(), 0u);
+
+  // A parent_edge map that does not cover its part's edges is refused too.
+  Subgraph torn = partition.parts[0];
+  torn.parent_edge.pop_back();
+  HelloAll a2(torn.graph);
+  const std::vector<EdgeDisjointInstance> torn_work{{&torn, &a2}};
+  for (const CompositeMode mode :
+       {CompositeMode::kInterleaved, CompositeMode::kSequential})
+    EXPECT_THROW(run_edge_disjoint(big, torn_work, {}, mode),
+                 std::logic_error);
+}
+
+/// BFS from node 0 in every part, as Theorem 1's part BFS runs it.
+struct PartBfs {
+  std::vector<std::unique_ptr<algo::DistributedBfs>> algs;
+  std::vector<EdgeDisjointInstance> work;
+  explicit PartBfs(const EdgePartition& partition) {
+    for (const Subgraph& part : partition.parts) {
+      algs.push_back(std::make_unique<algo::DistributedBfs>(part.graph, 0));
+      work.push_back({&part, algs.back().get()});
+    }
+  }
+};
+
+/// HelloAll in every part.
+struct PartHello {
+  std::vector<std::unique_ptr<HelloAll>> algs;
+  std::vector<EdgeDisjointInstance> work;
+  explicit PartHello(const EdgePartition& partition) {
+    for (const Subgraph& part : partition.parts) {
+      algs.push_back(std::make_unique<HelloAll>(part.graph));
+      work.push_back({&part, algs.back().get()});
+    }
+  }
+};
+
+void expect_same_composite(const CompositeResult& got,
+                           const CompositeResult& want) {
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.finished, want.finished);
+  EXPECT_EQ(got.parent_edge_congestion, want.parent_edge_congestion);
+  ASSERT_EQ(got.per_instance.size(), want.per_instance.size());
+  for (std::size_t i = 0; i < want.per_instance.size(); ++i) {
+    EXPECT_EQ(got.per_instance[i].rounds, want.per_instance[i].rounds) << i;
+    EXPECT_EQ(got.per_instance[i].arc_sends, want.per_instance[i].arc_sends)
+        << i;
+  }
+}
+
+TEST(Runner, OneEngineRunsTwoCompositesLikeTwoOneShotCalls) {
+  Rng rng(5);
+  const Graph g = gen::random_regular(96, 12, rng);
+  const EdgePartition partition = random_edge_partition(g, 3, 11);
+  std::vector<const Subgraph*> parts;
+  for (const Subgraph& part : partition.parts) parts.push_back(&part);
+
+  PartBfs bfs_once(partition), bfs_engine(partition);
+  PartHello hello_once(partition), hello_engine(partition);
+  const CompositeResult bfs_want = run_edge_disjoint(g, bfs_once.work);
+  const CompositeResult hello_want = run_edge_disjoint(g, hello_once.work);
+
+  EdgeDisjointEngine engine(parts);
+  expect_same_composite(engine.run(g, bfs_engine.work), bfs_want);
+  expect_same_composite(engine.run(g, hello_engine.work), hello_want);
+  EXPECT_EQ(engine.runs_started(), 2u);
+  for (std::size_t i = 0; i < parts.size(); ++i)
+    for (NodeId v = 0; v < g.node_count(); ++v)
+      EXPECT_EQ(bfs_engine.algs[i]->dist(v), bfs_once.algs[i]->dist(v));
+}
+
+TEST(Runner, EngineRejectsWorkBoundToOtherParts) {
+  Rng rng(6);
+  const Graph g = gen::random_regular(48, 8, rng);
+  const EdgePartition partition = random_edge_partition(g, 2, 3);
+  const EdgePartition twin = random_edge_partition(g, 2, 3);
+  EdgeDisjointEngine engine(std::vector<const Subgraph*>{
+      &partition.parts[0], &partition.parts[1]});
+  PartHello same(partition), other(twin);
+  // The twin partition has the same edges, in other Subgraph objects.
+  EXPECT_THROW(engine.run(g, other.work), std::logic_error);
+  // Swapped order, one instance short, one too many.
+  std::vector<EdgeDisjointInstance> swapped{same.work[1], same.work[0]};
+  EXPECT_THROW(engine.run(g, swapped), std::logic_error);
+  EXPECT_THROW(engine.run(g, std::span(same.work).first(1)),
+               std::logic_error);
+  std::vector<EdgeDisjointInstance> extra = same.work;
+  extra.push_back(other.work[0]);
+  EXPECT_THROW(engine.run(g, extra), std::logic_error);
+  EXPECT_EQ(engine.runs_started(), 0u);
+  EXPECT_TRUE(engine.run(g, same.work).finished);
+
+  EXPECT_THROW(EdgeDisjointEngine(std::vector<const Subgraph*>{nullptr}),
+               std::logic_error);
 }
 
 }  // namespace
