@@ -327,16 +327,11 @@ void run_composite_row(const Graph& g, const std::string& spec,
                    seq.messages == inter.messages &&
                    seq.finished == inter.finished &&
                    seq.parent_edge_congestion == inter.parent_edge_congestion &&
-                   seq.per_instance.size() == inter.per_instance.size();
-  if (identical) {
-    for (std::size_t i = 0; i < seq.per_instance.size(); ++i) {
-      const auto& a = seq.per_instance[i];
-      const auto& b = inter.per_instance[i];
-      identical = identical && a.rounds == b.rounds &&
-                  a.messages == b.messages && a.finished == b.finished &&
-                  a.arc_sends == b.arc_sends;
-    }
-  }
+                   seq.arc_sends == inter.arc_sends &&
+                   seq.instances.size() == inter.instances.size();
+  for (std::size_t i = 0; identical && i < seq.instances.size(); ++i)
+    identical = seq.instances[i].rounds == inter.instances[i].rounds &&
+                seq.instances[i].finished == inter.instances[i].finished;
   const double speedup = inter_ms > 0.0 ? seq_ms / inter_ms : 0.0;
   table.add_row({spec, algo, Table::num(std::size_t{inter.rounds}),
                  Table::num(std::size_t{inter.messages}),
@@ -477,10 +472,11 @@ void run_pool_scaling(const Lemma1Workload& lemma1, JsonReport& report) {
     const auto res = congest::run_edge_disjoint(lemma1.g, work, opts);
     const auto t1 = std::chrono::steady_clock::now();
     Costs c{res.rounds, res.messages, res.finished};
-    for (const auto& inst : res.per_instance) {
-      const Costs part = costs_of(inst);
-      c.insert(c.end(), part.begin(), part.end());
+    for (const auto& inst : res.instances) {
+      c.push_back(inst.rounds);
+      c.push_back(inst.finished);
     }
+    c.insert(c.end(), res.arc_sends.begin(), res.arc_sends.end());
     return std::pair(
         std::move(c),
         std::chrono::duration<double, std::milli>(t1 - t0).count());

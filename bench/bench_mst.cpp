@@ -1,12 +1,9 @@
 // Distributed MST (Borůvka/GHS fragment merging, apps/mst): phase counts
 // track ceil(log2 n), per-phase cost splits into the 2m-message fragment
-// announce plus the fragment-tree aggregation — which now runs as a
-// convergecast (algo::ForestEcho, at most two messages per tree edge) with
-// the PR3 min-flood kept as the measured baseline. Every row prints both
-// modes side by side; "merge sav" is the message saving of the convergecast
-// on the aggregation bucket. The edge set matches the serial Kruskal
-// reference exactly in both modes (unique MOEs under the (weight, EdgeId)
-// key order).
+// announce plus the fragment-tree aggregations, which run as convergecasts
+// (algo::ForestEcho, at most two messages per tree edge). "cc merge" is
+// the aggregation bucket. The edge set matches the serial Kruskal
+// reference exactly (unique MOEs under the (weight, EdgeId) key order).
 
 #include "bench_common.hpp"
 
@@ -19,24 +16,13 @@ namespace {
 
 Table mst_table() {
   return Table({"graph", "n", "m", "phases", "lg n", "cc rounds", "cc msgs",
-                "cc merge", "fl rounds", "fl msgs", "fl merge", "merge sav",
-                "kruskal"});
+                "cc merge", "kruskal"});
 }
 
 void mst_row(Table& table, const std::string& name, const WeightedGraph& g) {
-  apps::MstOptions flood_opts;
-  flood_opts.merge = apps::MstMerge::kFlood;
   const auto cc = apps::distributed_mst(g);
-  const auto fl = apps::distributed_mst(g, flood_opts);
-  const auto ref = kruskal_msf(g);
-  const bool match = cc.tree_edges == ref && fl.tree_edges == ref &&
-                     cc.fragment == fl.fragment;
+  const bool match = cc.tree_edges == kruskal_msf(g);
   const NodeId n = g.graph().node_count();
-  const double saving =
-      fl.merge_messages == 0
-          ? 0.0
-          : 100.0 * (1.0 - static_cast<double>(cc.merge_messages) /
-                               static_cast<double>(fl.merge_messages));
   table.add_row({name, Table::num(std::size_t{n}),
                  Table::num(std::size_t{g.graph().edge_count()}),
                  Table::num(std::size_t{cc.phases}),
@@ -44,10 +30,6 @@ void mst_row(Table& table, const std::string& name, const WeightedGraph& g) {
                  Table::num(std::size_t{cc.rounds}),
                  Table::num(std::size_t{cc.messages}),
                  Table::num(std::size_t{cc.merge_messages}),
-                 Table::num(std::size_t{fl.rounds}),
-                 Table::num(std::size_t{fl.messages}),
-                 Table::num(std::size_t{fl.merge_messages}),
-                 Table::num(saving, 1) + "%",
                  match ? "match" : "MISMATCH"});
 }
 
@@ -55,7 +37,7 @@ void experiment_m1() {
   banner("M1 / Boruvka phase scaling",
          "fragment count at least halves per phase: phases <= ceil(lg n) "
          "across sizes; per-phase messages ~ 2m (the fragment announce) "
-         "plus the aggregation bucket the convergecast shrinks.");
+         "plus the convergecast aggregation bucket.");
   Table table = mst_table();
   Rng seed_rng(61);
   for (const NodeId n : {64u, 256u, 1024u}) {
@@ -70,8 +52,7 @@ void experiment_m1() {
 void experiment_m1_families() {
   banner("M1b / MST across connectivity regimes",
          "same n, different lambda/delta regimes: deep bottleneck families "
-         "re-flood the most, so the convergecast saves the largest share of "
-         "their merge messages.");
+         "need the most phases and the longest aggregations.");
   Table table = mst_table();
   mst_row(table, "thick_path:groups=32,width=8",
           gen::with_hashed_weights(gen::thick_path(32, 8), 1, 100, 7));
@@ -89,9 +70,9 @@ void experiment_m1_families() {
 // are fine — the result is the minimum spanning forest.
 void experiment_specs(const std::vector<NamedWeightedGraph>& graphs) {
   banner("MST on custom scenarios",
-         "Boruvka fragment merging on --graph=<spec> workloads, "
-         "convergecast (cc) versus flood-baseline (fl) merges; edge set "
-         "checked against serial Kruskal in both modes.");
+         "Boruvka fragment merging on --graph=<spec> workloads with "
+         "convergecast (cc) merges; edge set checked against serial "
+         "Kruskal.");
   Table table = mst_table();
   for (const auto& [name, wg] : graphs) mst_row(table, name, wg);
   table.print(std::cout);

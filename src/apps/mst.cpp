@@ -7,16 +7,13 @@
 
 #include "algo/convergecast.hpp"
 #include "congest/network.hpp"
-#include "congest/quiescence.hpp"
 
 namespace fc::apps {
 
 namespace {
 
 constexpr std::uint32_t kTagFrag = 1;     // a = sender's fragment id
-constexpr std::uint32_t kTagMoe = 2;      // a = key weight, b = key EdgeId
 constexpr std::uint32_t kTagConnect = 3;  // a = sender's fragment id, b = edge
-constexpr std::uint32_t kTagMerge = 4;    // a = candidate fragment id
 
 /// MOE key: total order on edges, so fragment minima are unique.
 using MoeKey = std::pair<Weight, EdgeId>;
@@ -25,9 +22,9 @@ constexpr MoeKey kNoMoe{kInfWeight, kInvalidEdge};
 /// Phase step 1: every node announces its fragment id over every arc (one
 /// round), and derives its local MOE candidate — the cheapest incident edge
 /// whose far endpoint answered with a different fragment id. Exactly two
-/// rounds; `silenced` nodes (finished fragments, kConvergecast mode only)
-/// skip the announce, and since a finished fragment has no outgoing edges,
-/// their neighbours are silenced too — the component costs nothing.
+/// rounds; `silenced` nodes (finished fragments) skip the announce, and
+/// since a finished fragment has no outgoing edges, their neighbours are
+/// silenced too — the component costs nothing.
 ///
 /// Scheduling: only announcement receivers act in round 1; the two-round clock
 /// lives in round_started so silent components (and the sparse engine's idle
@@ -96,63 +93,9 @@ class AnnouncePhase : public congest::Algorithm {
   std::atomic<std::uint64_t> last_round_{0};
 };
 
-/// Flood-baseline MOE aggregation: min-flood the local candidate keys over
-/// the fragment's tree arcs until quiescence (every improvement re-announced
-/// over every tree arc — the cost profile ForestEcho replaces).
-class MoeFloodPhase : public congest::Algorithm {
- public:
-  MoeFloodPhase(const std::vector<std::uint8_t>& tree_arc,
-                std::vector<MoeKey> local)
-      : tree_arc_(&tree_arc), best_(std::move(local)) {}
-
-  std::string name() const override { return "mst/moe-flood"; }
-
-  void start(congest::Context& ctx) override {
-    const NodeId v = ctx.id();
-    if (best_[v] == kNoMoe) return;
-    send_best(ctx, v);
-  }
-
-  void step(congest::Context& ctx) override {
-    const NodeId v = ctx.id();
-    bool improved = false;
-    for (const auto& in : ctx.inbox()) {
-      const MoeKey key{static_cast<Weight>(in.msg.a),
-                       static_cast<EdgeId>(in.msg.b)};
-      if (key < best_[v]) {
-        best_[v] = key;
-        improved = true;
-      }
-    }
-    if (!improved) return;
-    quiescence_.note_activity(ctx.round());
-    send_best(ctx, v);
-  }
-
-  bool done() const override { return quiescence_.quiescent(); }
-  void round_started(std::uint64_t round) override {
-    quiescence_.note_round(round);
-  }
-
-  /// v's converged fragment minimum.
-  const MoeKey& best(NodeId v) const { return best_[v]; }
-
- private:
-  void send_best(congest::Context& ctx, NodeId v) {
-    for (ArcId a = ctx.arc_begin(); a < ctx.arc_end(); ++a)
-      if ((*tree_arc_)[a])
-        ctx.send(a, {kTagMoe, static_cast<std::uint64_t>(best_[v].first),
-                     best_[v].second});
-  }
-
-  const std::vector<std::uint8_t>* tree_arc_;
-  std::vector<MoeKey> best_;
-  congest::QuiescenceDetector quiescence_;
-};
-
-/// kConvergecast merge, step 1 of 2: winners send CONNECT over their MOE
-/// arc; both endpoints mark it a tree arc. Exactly two rounds. The naming
-/// itself is a ForestEcho over the merged tree (run by the host).
+/// Merge, step 1 of 2: winners send CONNECT over their MOE arc; both
+/// endpoints mark it a tree arc. Exactly two rounds. The naming itself is a
+/// ForestEcho over the merged tree (run by the host).
 class ConnectPhase : public congest::Algorithm {
  public:
   ConnectPhase(const std::vector<NodeId>& frag,
@@ -189,67 +132,15 @@ class ConnectPhase : public congest::Algorithm {
   std::atomic<std::uint64_t> last_round_{0};
 };
 
-/// Flood-baseline merge: winners send CONNECT over their MOE arc (both
-/// endpoints mark it a tree arc), then the merged component floods the
-/// minimum member fragment id over tree arcs until quiescence. Nodes write
-/// only their own per-node state and their own outgoing-arc flags, so
-/// parallel rounds stay race-free.
-class MergeFloodPhase : public congest::Algorithm {
- public:
-  MergeFloodPhase(const std::vector<NodeId>& frag,
-                  const std::vector<ArcId>& winner_arc,
-                  std::vector<std::uint8_t>& tree_arc)
-      : winner_arc_(&winner_arc), tree_arc_(&tree_arc), frag_(frag) {}
-
-  std::string name() const override { return "mst/merge-flood"; }
-
-  void start(congest::Context& ctx) override {
-    const NodeId v = ctx.id();
-    const ArcId moe = (*winner_arc_)[v];
-    if (moe == kInvalidArc) return;
-    (*tree_arc_)[moe] = 1;
-    ctx.send(moe, {kTagConnect, frag_[v], ctx.graph().arc_edge(moe)});
-  }
-
-  void step(congest::Context& ctx) override {
-    const NodeId v = ctx.id();
-    bool changed = false;
-    for (const auto& in : ctx.inbox()) {
-      if (in.msg.tag == kTagConnect && !(*tree_arc_)[in.via]) {
-        (*tree_arc_)[in.via] = 1;
-        changed = true;  // tell the new neighbour our fragment id
-      }
-      if (static_cast<NodeId>(in.msg.a) < frag_[v]) {
-        frag_[v] = static_cast<NodeId>(in.msg.a);
-        changed = true;
-      }
-    }
-    if (!changed) return;
-    quiescence_.note_activity(ctx.round());
-    for (ArcId a = ctx.arc_begin(); a < ctx.arc_end(); ++a)
-      if ((*tree_arc_)[a]) ctx.send(a, {kTagMerge, frag_[v], 0});
-  }
-
-  bool done() const override { return quiescence_.quiescent(); }
-  void round_started(std::uint64_t round) override {
-    quiescence_.note_round(round);
-  }
-
-  std::vector<NodeId> take_fragments() { return std::move(frag_); }
-
- private:
-  const std::vector<ArcId>* winner_arc_;
-  std::vector<std::uint8_t>* tree_arc_;
-  std::vector<NodeId> frag_;
-  congest::QuiescenceDetector quiescence_;
-};
-
-void accumulate(MstReport& r, const congest::RunResult& cost) {
+/// Charges one phase execution to the report; its messages also go to
+/// `bucket` (announce_messages or merge_messages).
+void accumulate(MstReport& r, const congest::RunResult& cost,
+                std::uint64_t& bucket) {
   r.rounds += cost.rounds;
   r.messages += cost.messages;
+  bucket += cost.messages;
   r.finished = r.finished && cost.finished;
   r.cancelled = r.cancelled || cost.cancelled;
-  if (r.arc_sends.empty()) r.arc_sends.assign(cost.arc_sends.size(), 0);
   for (std::size_t a = 0; a < cost.arc_sends.size(); ++a)
     r.arc_sends[a] += cost.arc_sends[a];
 }
@@ -267,7 +158,6 @@ std::uint64_t MstReport::max_edge_congestion(const Graph& g) const {
 MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
   const Graph& graph = g.graph();
   const NodeId n = graph.node_count();
-  const bool echo = opts.merge == MstMerge::kConvergecast;
   if (opts.faults != nullptr && !opts.faults->empty())
     throw std::invalid_argument(
         "mst: fault plans are not supported (the Boruvka phases are "
@@ -280,9 +170,7 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
   r.arc_sends.assign(graph.arc_count(), 0);
   std::vector<std::uint8_t> tree_arc(graph.arc_count(), 0);
   std::vector<std::uint8_t> in_msf(graph.edge_count(), 0);
-  // Nodes of fragments proven complete (no outgoing edge). Only the
-  // kConvergecast mode silences them; the flood baseline keeps the original
-  // keep-announcing behaviour for a faithful comparison.
+  // Nodes of fragments proven complete (no outgoing edge): silenced.
   std::vector<std::uint8_t> complete(n, 0);
   // ONE engine serves every phase execution: run() fully resets per-run
   // state, so this is bit-identical to the former per-phase Networks and
@@ -295,49 +183,32 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
   while (true) {
     AnnouncePhase announce(g, r.fragment, complete,
                            "mst/phase=" + std::to_string(r.phases + 1));
-    {
-      const auto cost = net.run(announce, opts);
-      accumulate(r, cost);
-      r.announce_messages += cost.messages;
-    }
+    accumulate(r, net.run(announce, opts), r.announce_messages);
     if (!announce.any_candidate() || !r.finished) break;  // forest complete
     if (++r.phases > kPhaseCap) {
       r.finished = false;
       break;
     }
 
-    std::vector<MoeKey> local(n);
-    for (NodeId v = 0; v < n; ++v) local[v] = announce.local(v);
-
-    // Fragment minimum per node: echo (≤ 2 messages per tree edge) or the
-    // baseline min-flood.
-    std::vector<MoeKey> best(n);
-    if (echo) {
-      std::vector<algo::EchoValue> vals(n);
-      for (NodeId v = 0; v < n; ++v)
-        vals[v] = {static_cast<std::uint64_t>(local[v].first),
-                   local[v].second};
-      algo::ForestEcho agg(graph, tree_arc, std::move(vals), &complete);
-      const auto cost = net.run(agg, opts);
-      accumulate(r, cost);
-      r.merge_messages += cost.messages;
-      for (NodeId v = 0; v < n; ++v)
-        best[v] = {static_cast<Weight>(agg.result(v).first),
-                   static_cast<EdgeId>(agg.result(v).second)};
-    } else {
-      MoeFloodPhase agg(tree_arc, local);
-      const auto cost = net.run(agg, opts);
-      accumulate(r, cost);
-      r.merge_messages += cost.messages;
-      for (NodeId v = 0; v < n; ++v) best[v] = agg.best(v);
-    }
+    // Fragment minimum per node: an echo, ≤ 2 messages per tree edge.
+    std::vector<algo::EchoValue> keys(n);
+    for (NodeId v = 0; v < n; ++v)
+      keys[v] = {static_cast<std::uint64_t>(announce.local(v).first),
+                 announce.local(v).second};
+    algo::ForestEcho moe(graph, tree_arc, std::move(keys), &complete);
+    accumulate(r, net.run(moe, opts), r.merge_messages);
     if (!r.finished) break;
 
     // Winners: the unique node per fragment whose local candidate IS the
-    // fragment minimum (keys are distinct across edges).
+    // fragment minimum (keys are distinct across edges). Fragments without
+    // an outgoing edge are done for good (an MSF never regrows one):
+    // silence them from here on.
     std::vector<ArcId> winner_arc(n, kInvalidArc);
     for (NodeId v = 0; v < n; ++v) {
-      if (local[v] == kNoMoe || local[v] != best[v]) continue;
+      const MoeKey best{static_cast<Weight>(moe.result(v).first),
+                        static_cast<EdgeId>(moe.result(v).second)};
+      if (best == kNoMoe) complete[v] = 1;
+      if (announce.local(v) == kNoMoe || announce.local(v) != best) continue;
       winner_arc[v] = announce.candidate_arc(v);
       const EdgeId e = graph.arc_edge(winner_arc[v]);
       if (!in_msf[e]) {
@@ -345,32 +216,14 @@ MstReport distributed_mst(const WeightedGraph& g, const MstOptions& opts) {
         r.tree_edges.push_back(e);
       }
     }
-    if (echo) {
-      // Fragments without an outgoing edge are done for good (an MSF never
-      // regrows one): silence them from here on.
-      for (NodeId v = 0; v < n; ++v)
-        if (best[v] == kNoMoe) complete[v] = 1;
-      ConnectPhase connect(r.fragment, winner_arc, tree_arc);
-      {
-        const auto cost = net.run(connect, opts);
-        accumulate(r, cost);
-        r.merge_messages += cost.messages;
-      }
-      std::vector<algo::EchoValue> vals(n);
-      for (NodeId v = 0; v < n; ++v) vals[v] = {r.fragment[v], 0};
-      algo::ForestEcho naming(graph, tree_arc, std::move(vals), &complete);
-      const auto cost = net.run(naming, opts);
-      accumulate(r, cost);
-      r.merge_messages += cost.messages;
-      for (NodeId v = 0; v < n; ++v)
-        r.fragment[v] = static_cast<NodeId>(naming.result(v).first);
-    } else {
-      MergeFloodPhase merge(r.fragment, winner_arc, tree_arc);
-      const auto cost = net.run(merge, opts);
-      accumulate(r, cost);
-      r.merge_messages += cost.messages;
-      r.fragment = merge.take_fragments();
-    }
+    ConnectPhase connect(r.fragment, winner_arc, tree_arc);
+    accumulate(r, net.run(connect, opts), r.merge_messages);
+    std::vector<algo::EchoValue> names(n);
+    for (NodeId v = 0; v < n; ++v) names[v] = {r.fragment[v], 0};
+    algo::ForestEcho naming(graph, tree_arc, std::move(names), &complete);
+    accumulate(r, net.run(naming, opts), r.merge_messages);
+    for (NodeId v = 0; v < n; ++v)
+      r.fragment[v] = static_cast<NodeId>(naming.result(v).first);
     if (!r.finished) break;  // a run hit max_rounds
   }
 

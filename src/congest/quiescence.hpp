@@ -1,7 +1,7 @@
 #pragma once
 // Quiescence-based termination shared by the flooding algorithms (BFS,
-// Borůvka's MOE/merge floods, Bellman–Ford): the run is over once one full
-// round passes in which no node sent anything.
+// Bellman–Ford): the run is over once one full round passes in which no
+// node sent anything.
 //
 // note_round() belongs in Algorithm::round_started(), which the engine
 // calls exactly once per round — including rounds in which the sparse

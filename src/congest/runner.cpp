@@ -96,8 +96,8 @@ class InterleavedComposite final : public Algorithm {
   mutable std::vector<std::uint64_t> finish_round_;
 };
 
-/// The checks every composite run makes before it starts: no global fault
-/// plan, no null instance, every part's parent_edge map sized to its graph
+/// The checks every composite run makes before it starts: no fault plan,
+/// no null instance, every part's parent_edge map sized to its graph
 /// and pointing into `parent`, and no parent edge claimed twice (concurrent
 /// execution would otherwise violate bandwidth).
 void check_work(const Graph& parent,
@@ -105,8 +105,8 @@ void check_work(const Graph& parent,
                 const RunOptions& opts) {
   if (opts.faults != nullptr && !opts.faults->empty())
     throw std::logic_error(
-        "run_edge_disjoint: set per-instance EdgeDisjointInstance::faults, "
-        "not RunOptions::faults (composite ids are internal)");
+        "run_edge_disjoint: fault plans are not supported (composite ids "
+        "are internal)");
   std::vector<std::uint8_t> claimed(parent.edge_count(), 0);
   for (const auto& inst : work) {
     if (!inst.part || !inst.algorithm)
@@ -128,11 +128,14 @@ void check_work(const Graph& parent,
   }
 }
 
-/// Charge instance `res`'s per-edge congestion to its parent edges.
-void fold_congestion(const Subgraph& part, const RunResult& res,
+/// Charge an instance's per-edge congestion to its parent edges, reading
+/// `sends` (the instance's per-arc sends, in its own arc ids) in place.
+void fold_congestion(const Subgraph& part, std::span<const std::uint64_t> sends,
                      std::vector<std::uint64_t>& parent_congestion) {
-  for (EdgeId e = 0; e < part.graph.edge_count(); ++e)
-    parent_congestion[part.parent_edge[e]] += res.edge_congestion(part.graph, e);
+  for (EdgeId e = 0; e < part.graph.edge_count(); ++e) {
+    const auto [a, b] = part.graph.edge_arcs(e);
+    parent_congestion[part.parent_edge[e]] += sends[a] + sends[b];
+  }
 }
 
 CompositeResult run_sequential(const Graph& parent,
@@ -141,20 +144,18 @@ CompositeResult run_sequential(const Graph& parent,
   CompositeResult out;
   out.finished = true;
   out.parent_edge_congestion.assign(parent.edge_count(), 0);
-  out.per_instance.reserve(work.size());
+  out.instances.reserve(work.size());
   for (const auto& inst : work) {
     Network net(inst.part->graph);
-    RunOptions local = opts;
-    local.faults = inst.faults;
-    RunResult res = net.run(*inst.algorithm, local);
+    const RunResult res = net.run(*inst.algorithm, opts);
     out.rounds = std::max(out.rounds, res.rounds);
     out.messages += res.messages;
-    out.fault_dropped += res.fault_dropped;
-    out.fault_corrupted += res.fault_corrupted;
     out.finished = out.finished && res.finished;
     out.cancelled = out.cancelled || res.cancelled;
-    fold_congestion(*inst.part, res, out.parent_edge_congestion);
-    out.per_instance.push_back(std::move(res));
+    out.instances.push_back({res.rounds, res.finished});
+    fold_congestion(*inst.part, res.arc_sends, out.parent_edge_congestion);
+    out.arc_sends.insert(out.arc_sends.end(), res.arc_sends.begin(),
+                         res.arc_sends.end());
   }
   return out;
 }
@@ -226,47 +227,23 @@ CompositeResult EdgeDisjointEngine::run(
     return out;
   }
 
-  // Merge the per-instance fault plans into one union-id plan. Edge ids
-  // translate by the edge prefix (= arc_base/2) because the union's edges
-  // are the instances' edges, block after block.
-  FaultPlan merged;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    if (work[i].faults == nullptr) continue;
-    for (Fault f : work[i].faults->faults) {
-      if (f.kind == FaultKind::kNodeCrash)
-        f.id += node_base_[i];
-      else if (f.kind == FaultKind::kArcDrop)
-        f.id += arc_base_[i];
-      else
-        f.id += arc_base_[i] / 2;
-      merged.faults.push_back(f);
-    }
-  }
-
   InterleavedComposite comp(work, node_base_, arc_base_, inst_of_node_);
-  RunOptions local = opts;
-  if (!merged.empty()) local.faults = &merged;
-  const RunResult ures = net_.run(comp, local);
-
+  RunResult ures = net_.run(comp, opts);
   out.rounds = ures.rounds;
   out.messages = ures.messages;
-  out.fault_dropped = ures.fault_dropped;
-  out.fault_corrupted = ures.fault_corrupted;
   out.finished = ures.finished;
   out.cancelled = ures.cancelled;
-  out.per_instance.reserve(work.size());
+  out.instances.reserve(work.size());
   for (std::size_t i = 0; i < work.size(); ++i) {
     const Subgraph& part = *work[i].part;
-    const auto sends = ures.arc_sends.begin() + arc_base_[i];
-    RunResult res;
-    res.rounds = comp.instance_rounds(i, ures.rounds);
-    res.finished = comp.instance_finished(i);
-    res.cancelled = ures.cancelled && !res.finished;
-    res.arc_sends.assign(sends, sends + part.graph.arc_count());
-    for (const std::uint64_t s : res.arc_sends) res.messages += s;
-    fold_congestion(part, res, out.parent_edge_congestion);
-    out.per_instance.push_back(std::move(res));
+    out.instances.push_back(
+        {comp.instance_rounds(i, ures.rounds), comp.instance_finished(i)});
+    fold_congestion(part,
+                    std::span<const std::uint64_t>(ures.arc_sends)
+                        .subspan(arc_base_[i], part.graph.arc_count()),
+                    out.parent_edge_congestion);
   }
+  out.arc_sends = std::move(ures.arc_sends);
   return out;
 }
 

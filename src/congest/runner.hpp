@@ -21,41 +21,24 @@
 // a temporary engine for the call, and kSequential — one Network per
 // instance, one after another — is its differential oracle, not a
 // production path. The two modes are bit-identical in composite rounds,
-// messages, parent congestion, and per-instance rounds/finished/arc_sends
-// (the differential tests and bench_engine's N4 rows hold them to that),
-// and a reused engine is bit-identical to a fresh one, because
-// Network::run resets all per-run state. Edge-disjointness and the parts'
-// parent_edge maps are verified on every run, not assumed.
+// messages, parent congestion, per-instance rounds/finished and the
+// per-arc sends (the differential tests and bench_engine's N4 rows hold
+// them to that), and a reused engine is bit-identical to a fresh one,
+// because Network::run resets all per-run state. Edge-disjointness and the
+// parts' parent_edge maps are verified on every run, not assumed.
 //
 // Costs combine the same way in both modes: rounds = max over instances
 // (they run concurrently), messages = sum, and per-parent-edge congestion
-// is folded back through the subgraphs' parent_edge maps.
+// is folded back through the subgraphs' parent_edge maps, reading each
+// instance's slice of the per-arc sends in place.
 //
 // The composite takes the caller's RunOptions whole: pool, force_dense,
 // telemetry, max_rounds and cancel apply to every instance (the one union
 // run, or each sequential run). A cancelled composite reports
-// CompositeResult::cancelled.
-//
-// Interleaved caveats (documented asymmetries, not accounting bugs):
-//  * per_instance[i].undelivered is 0 — in-flight sends of the union run's
-//    final round are not split per instance.
-//  * a telemetry recorder sees ONE span for the whole composite instead of
-//    one span per instance.
-//  * per_instance[i].fault_dropped / fault_corrupted are 0 — fault
-//    accounting of the union run is reported only as composite totals
-//    (CompositeResult::fault_dropped / fault_corrupted, which both modes
-//    fill identically).
-//
-// Faults: a composite run injects faults per instance, never globally —
-// EdgeDisjointInstance::faults carries a plan whose ids are LOCAL to that
-// instance's subgraph (node/arc/edge ids of `part->graph`). Setting
-// RunOptions::faults on the composite throws: union-graph ids are an
-// internal layout, and a global plan could not be replayed by the
-// sequential baseline. The interleaved mode translates each local plan
-// into the union's id space (node += node_base[i], arc += arc_base[i],
-// edge += edge_base[i]); block-diagonal disjointness makes a fault in one
-// block invisible to every other, so the two modes stay bit-identical
-// under faults too.
+// CompositeResult::cancelled. A fault plan is refused (std::logic_error):
+// union ids are an internal layout, and no caller injects faults into a
+// composite. In the interleaved mode a telemetry recorder sees ONE span
+// for the whole composite instead of one span per instance.
 
 #include <cstdint>
 #include <memory>
@@ -73,11 +56,17 @@ struct CompositeResult {
   bool finished = false;       // all instances finished
   /// The run was cut by an expired RunOptions::cancel token.
   bool cancelled = false;
-  std::vector<RunResult> per_instance;
-  /// Fault totals summed over instances (see the header note: interleaved
-  /// mode reports them only here, not per instance).
-  std::uint64_t fault_dropped = 0;
-  std::uint64_t fault_corrupted = 0;
+  /// Instance i's own rounds and finished flag, in work order: what its
+  /// run alone would report.
+  struct Instance {
+    std::uint64_t rounds = 0;
+    bool finished = false;
+  };
+  std::vector<Instance> instances;
+  /// Per-arc sends in the union's layout: instance i's arcs sit at its
+  /// Graph::disjoint_union offset, the arc count of the instances before
+  /// it.
+  std::vector<std::uint64_t> arc_sends;
   /// Congestion per PARENT edge (messages in both directions).
   std::vector<std::uint64_t> parent_edge_congestion;
 
@@ -89,8 +78,6 @@ struct CompositeResult {
 struct EdgeDisjointInstance {
   const Subgraph* part = nullptr;
   Algorithm* algorithm = nullptr;
-  /// Optional fault plan for THIS instance; ids are local to part->graph.
-  const FaultPlan* faults = nullptr;
 };
 
 /// How run_edge_disjoint executes its instances.
@@ -106,8 +93,7 @@ enum class CompositeMode : std::uint8_t {
 /// Run all instances as one concurrent execution. Throws std::logic_error
 /// if an instance is null, two instances claim the same parent edge, a
 /// part's parent_edge map does not fit `parent` (wrong size, or an id
-/// >= parent.edge_count()), or opts.faults is set (faults are per
-/// instance: EdgeDisjointInstance::faults).
+/// >= parent.edge_count()), or opts.faults is a non-empty plan.
 CompositeResult run_edge_disjoint(const Graph& parent,
                                   std::span<const EdgeDisjointInstance> work,
                                   const RunOptions& opts = {},

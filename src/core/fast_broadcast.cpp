@@ -52,7 +52,8 @@ FastBroadcastReport finish(FastBroadcastReport r) {
 /// and the renumbered messages (ids remapped to [0, k)); charges the
 /// rounds and messages to `report.setup_rounds` / `report.messages`, and
 /// stops at the first cancelled run (`report.cancelled`, nothing
-/// numbered). Rejects a fault plan first: every entry point starts here.
+/// numbered). Rejects a fault plan and a message origin outside the graph
+/// first: every entry point starts here.
 struct SetupResult {
   NodeId root = 0;
   algo::SpanningTree tree;
@@ -70,6 +71,10 @@ SetupResult setup_phase(congest::Network& net,
         "fast_broadcast: fault plans are not supported (the phases are "
         "separate engine runs with no single fault clock)");
   const Graph& g = net.graph();
+  for (const auto& m : messages)
+    if (m.origin >= g.node_count())
+      throw std::invalid_argument(
+          "fast_broadcast: a message origin is not a node of the graph");
   SetupResult out;
   const auto add = [&report](const congest::RunResult& res) {
     report.setup_rounds += res.rounds;

@@ -42,7 +42,8 @@ namespace fc::core {
 /// Lemma 1 pipeline, oblivious probes, the textbook pipeline. A cancelled run stops the broadcast
 /// (FastBroadcastReport::cancelled). A non-empty fault plan is rejected
 /// with std::invalid_argument before any run: the phases are separate
-/// engine runs with no single fault clock.
+/// engine runs with no single fault clock. So is a message whose origin is
+/// not a node of the graph.
 struct FastBroadcastOptions : congest::RunOptions {
   double C = 2.0;           // Theorem 2 constant
   std::uint64_t seed = 1;   // shared randomness

@@ -328,7 +328,7 @@ ScenarioResult run_mst_scenario(const WeightedGraph& full,
   const WeightedWorkload w =
       weighted_root_component(full, checked_root(full.graph(), cfg));
   const WeightedGraph& g = w.get(full);
-  const auto rep = apps::distributed_mst(g, apps::MstOptions{cfg});
+  const auto rep = apps::distributed_mst(g, cfg);
   r.rounds = rep.rounds;
   r.messages = rep.messages;
   r.finished = rep.finished;

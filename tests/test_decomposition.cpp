@@ -120,7 +120,7 @@ TEST(Decomposition, CarriesTheEngineOfItsPartBfs) {
   ASSERT_NE(dec.engine, nullptr);
   EXPECT_EQ(dec.engine->runs_started(), 1u);
   EXPECT_EQ(dec.messages, dec.bfs.messages);
-  EXPECT_EQ(dec.bfs.per_instance.size(), dec.parts);
+  EXPECT_EQ(dec.bfs.instances.size(), dec.parts);
   EXPECT_EQ(dec.check_rounds,
             dec.bfs.rounds + 2ull * bfs_tree(g, opts.root).depth());
 
@@ -140,6 +140,12 @@ TEST(Decomposition, CarriesTheEngineOfItsPartBfs) {
   EXPECT_EQ(reused.rounds, once.rounds);
   EXPECT_EQ(reused.messages, once.messages);
   EXPECT_EQ(reused.parent_edge_congestion, once.parent_edge_congestion);
+  EXPECT_EQ(reused.arc_sends, once.arc_sends);
+  ASSERT_EQ(reused.instances.size(), once.instances.size());
+  for (std::size_t i = 0; i < once.instances.size(); ++i) {
+    EXPECT_EQ(reused.instances[i].rounds, once.instances[i].rounds) << i;
+    EXPECT_EQ(reused.instances[i].finished, once.instances[i].finished) << i;
+  }
 }
 
 class DecompositionSweep

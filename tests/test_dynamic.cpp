@@ -17,9 +17,7 @@
 //  * The resilient-broadcast engine drive (real kEdgeCorrupt faults)
 //    reports the exact numbers of the analytic model, adversary by
 //    adversary.
-//  * run_edge_disjoint applies per-instance fault plans without leakage:
-//    interleaved == sequential, the un-faulted instance is untouched, and
-//    a global plan on the composite throws.
+//  * run_edge_disjoint refuses a fault plan: union ids are internal.
 //  * A randomized wakeup fuzz (seed printed on failure; extend with
 //    DYNAMIC_FUZZ_SEEDS=s1,s2,...) holds the event-driven parallel repair
 //    to the dense serial reference.
@@ -475,52 +473,7 @@ TEST(ResilientEngine, EngineDriveMatchesAnalyticModel) {
   }
 }
 
-// -------------------------------------------- composite fault isolation --
-
-TEST(CompositeFaults, PerInstancePlansStayIsolated) {
-  const Graph g = gen::cycle(12);
-  std::vector<EdgeId> left, right;
-  for (EdgeId e = 0; e < g.edge_count(); ++e)
-    (e < 6 ? left : right).push_back(e);
-  const Subgraph s1 = make_subgraph(g, left);
-  const Subgraph s2 = make_subgraph(g, right);
-
-  congest::FaultPlan p1;
-  p1.drop_edge(0, 2);  // LOCAL id in s1.graph
-
-  const auto run_mode = [&](congest::CompositeMode mode,
-                            std::vector<std::uint32_t>* d1,
-                            std::vector<std::uint32_t>* d2) {
-    algo::DistributedBfs a1(s1.graph, 0);
-    algo::DistributedBfs a2(s2.graph, 0);
-    std::vector<congest::EdgeDisjointInstance> work{{&s1, &a1, &p1},
-                                                    {&s2, &a2, nullptr}};
-    const auto res = congest::run_edge_disjoint(g, work, {}, mode);
-    EXPECT_TRUE(res.finished);
-    EXPECT_GT(res.fault_dropped, 0u);
-    *d1 = a1.distances();
-    *d2 = a2.distances();
-    return res;
-  };
-
-  std::vector<std::uint32_t> i1, i2, q1, q2;
-  const auto inter = run_mode(congest::CompositeMode::kInterleaved, &i1, &i2);
-  const auto seq = run_mode(congest::CompositeMode::kSequential, &q1, &q2);
-  EXPECT_EQ(i1, q1);
-  EXPECT_EQ(i2, q2);
-  EXPECT_EQ(inter.rounds, seq.rounds);
-  EXPECT_EQ(inter.messages, seq.messages);
-  EXPECT_EQ(inter.fault_dropped, seq.fault_dropped);
-  EXPECT_EQ(inter.fault_corrupted, seq.fault_corrupted);
-
-  // The instance with no plan must behave exactly as in a fault-free run.
-  algo::DistributedBfs clean(s2.graph, 0);
-  congest::Network net(s2.graph);
-  net.run(clean);
-  EXPECT_EQ(i2, clean.distances());
-  // The faulted instance really lost its edge.
-  EXPECT_EQ(i1, bfs_distances(without_edge(s1.graph, 2), 0));
-}
+// ------------------------------------------------ composite fault plans --
 
 TEST(CompositeFaults, GlobalPlanOnCompositeThrows) {
   const Graph g = gen::cycle(6);
@@ -533,6 +486,9 @@ TEST(CompositeFaults, GlobalPlanOnCompositeThrows) {
   congest::RunOptions ro;
   ro.faults = &global;
   EXPECT_THROW(congest::run_edge_disjoint(g, work, ro), std::logic_error);
+  EXPECT_THROW(congest::run_edge_disjoint(g, work, ro,
+                                          congest::CompositeMode::kSequential),
+               std::logic_error);
 }
 
 TEST(Faults, BatchSsspHonoursTheScenarioPlan) {

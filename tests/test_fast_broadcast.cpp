@@ -162,6 +162,17 @@ TEST(FastBroadcast, FaultPlansAreRejectedBeforeAnyRun) {
     EXPECT_TRUE(r.complete) << r.str();
 }
 
+TEST(FastBroadcast, RejectsAMessageOriginOutsideTheGraph) {
+  // The Lemma 3 numbering indexes per-node counters by origin, so a bad
+  // origin must be refused before any engine run of any entry point.
+  Rng rng(4);
+  const Graph g = gen::random_regular(64, 8, rng);
+  const std::vector<algo::PlacedMessage> msgs{{3, 0, 11}, {64, 1, 12}};
+  EXPECT_THROW(run_fast_broadcast(g, 8, msgs), std::invalid_argument);
+  EXPECT_THROW(run_fast_broadcast_oblivious(g, msgs), std::invalid_argument);
+  EXPECT_THROW(run_textbook_broadcast(g, msgs), std::invalid_argument);
+}
+
 TEST(FastBroadcast, CancelledTokenStopsEveryEntryPoint) {
   Rng rng(9);
   const Graph g = gen::random_regular(64, 16, rng);

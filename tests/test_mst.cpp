@@ -2,7 +2,9 @@
 // registry family the edge set matches the serial Kruskal reference EXACTLY
 // (unique minimum under the (weight, EdgeId) key order), and the whole
 // report — edges, rounds, messages, congestion — is bit-identical whether
-// the workload was built and run at 1, 2, or 8 threads.
+// the workload was built and run at 1, 2, or 8 threads. A golden table pins
+// the report's counts, so the message cost of the convergecast merges and
+// the silencing of finished fragments cannot drift unnoticed.
 
 #include "apps/mst.hpp"
 
@@ -63,68 +65,58 @@ TEST(DistributedMst, MatchesKruskalAcrossFamiliesAndThreadCounts) {
   }
 }
 
-TEST(DistributedMst, FloodBaselineProducesTheIdenticalForest) {
-  // Both merge engines must agree on everything semantic: edges, weight,
-  // phase count, and final fragment labels. Only the cost profile differs.
-  for (const std::string spec : kSpecs) {
-    SCOPED_TRACE(spec);
-    const WeightedGraph g = scenario::build_weighted_graph(spec);
-    MstOptions flood;
-    flood.merge = MstMerge::kFlood;
-    const auto cc = distributed_mst(g);
-    const auto fl = distributed_mst(g, flood);
-    ASSERT_TRUE(cc.finished);
-    ASSERT_TRUE(fl.finished);
-    EXPECT_EQ(cc.tree_edges, fl.tree_edges);
-    EXPECT_EQ(cc.tree_edges, kruskal_msf(g));
-    EXPECT_EQ(cc.total_weight, fl.total_weight);
-    EXPECT_EQ(cc.phases, fl.phases);
-    EXPECT_EQ(cc.fragment, fl.fragment);
-    // The messages split into announce + merge buckets in both modes.
-    EXPECT_EQ(cc.messages, cc.announce_messages + cc.merge_messages);
-    EXPECT_EQ(fl.messages, fl.announce_messages + fl.merge_messages);
-  }
-}
+/// Golden reports: the counts of the default convergecast MST on the
+/// differential specs, a deep bottleneck family (the most merge traffic)
+/// and a disconnected graph whose small components finish early and go
+/// silent. Pinned from the implementation that still carried the flood
+/// merge mode beside the convergecast; every engine pool reproduces them.
+struct MstGoldenCase {
+  const char* spec;
+  std::uint64_t rounds;
+  std::uint64_t messages;
+  std::uint64_t announce_messages;
+  std::uint64_t merge_messages;
+  std::uint32_t phases;
+  Weight total_weight;
+  std::uint64_t max_edge_congestion;
+};
 
-TEST(DistributedMst, ConvergecastCutsMergeMessagesVersusFloodBaseline) {
-  // The regression bar for the ROADMAP item "a convergecast up the fragment
-  // tree would cut the per-phase message constant": on a deep bottleneck
-  // family the echo must spend at most 70% of the flood's merge-bucket
-  // messages (measured ~55%; the margin absorbs generator drift), and it
-  // must never spend more on any differential spec.
-  MstOptions flood;
-  flood.merge = MstMerge::kFlood;
-  {
-    const WeightedGraph g = scenario::build_weighted_graph(
-        "thick_path:groups=32,width=8,weights=1..100");
-    const auto cc = distributed_mst(g);
-    const auto fl = distributed_mst(g, flood);
-    EXPECT_LE(cc.merge_messages * 10, fl.merge_messages * 7)
-        << "echo=" << cc.merge_messages << " flood=" << fl.merge_messages;
-    EXPECT_LT(cc.messages, fl.messages);
-  }
-  for (const std::string spec : kSpecs) {
-    SCOPED_TRACE(spec);
-    const WeightedGraph g = scenario::build_weighted_graph(spec);
-    const auto cc = distributed_mst(g);
-    const auto fl = distributed_mst(g, flood);
-    EXPECT_LE(cc.merge_messages, fl.merge_messages);
-    EXPECT_LE(cc.announce_messages, fl.announce_messages);
-  }
-}
+const MstGoldenCase kMstGolden[] = {
+    {"random_regular:n=96,d=6,seed=3,weights=1..100", 86, 3265, 2304, 961, 3,
+     1410, 20},
+    {"harary:n=64,k=5,weights=1..50", 87, 1919, 1280, 639, 3, 800, 20},
+    {"watts_strogatz:n=96,k=6,p=0.2,seed=5,weights=1..40", 78, 3256, 2304,
+     952, 3, 749, 20},
+    {"dumbbell:s=24,bridges=3,weights=1..9", 78, 4948, 4440, 508, 3, 52, 20},
+    {"rmat:n=128,deg=6,seed=7,largest_cc=1,weights=1..100", 74, 3301, 2328,
+     973, 3, 2481, 20},
+    {"thick_cycle:groups=8,width=4", 24, 414, 320, 94, 1, 31, 8},
+    {"thick_path:groups=32,width=8,weights=1..100", 352, 18326, 13728, 4598,
+     5, 3315, 32},
+    {"rmat:n=64,deg=3,seed=11,weights=1..9", 53, 1021, 604, 417, 3, 168, 20},
+};
 
-TEST(DistributedMst, FinishedFragmentsGoSilentOnDisconnectedGraphs) {
-  // rmat:n=64 is disconnected: small components finish in early phases.
-  // The convergecast mode silences them, so it also announces less.
-  const WeightedGraph g = scenario::build_weighted_graph(
-      "rmat:n=64,deg=3,seed=11,weights=1..9");
-  ASSERT_GT(component_count(g.graph()), 1u);
-  MstOptions flood;
-  flood.merge = MstMerge::kFlood;
-  const auto cc = distributed_mst(g);
-  const auto fl = distributed_mst(g, flood);
-  EXPECT_EQ(cc.tree_edges, fl.tree_edges);
-  EXPECT_LT(cc.announce_messages, fl.announce_messages);
+TEST(MstGolden, CountsAtPools1_2_8) {
+  for (const std::size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    MstOptions opts;
+    opts.pool = &pool;
+    for (const MstGoldenCase& c : kMstGolden) {
+      SCOPED_TRACE(std::string(c.spec) + " pool " + std::to_string(threads));
+      const WeightedGraph g = scenario::build_weighted_graph(c.spec);
+      const MstReport rep = distributed_mst(g, opts);
+      ASSERT_TRUE(rep.finished);
+      EXPECT_EQ(rep.tree_edges, kruskal_msf(g));
+      EXPECT_EQ(rep.rounds, c.rounds);
+      EXPECT_EQ(rep.messages, c.messages);
+      EXPECT_EQ(rep.announce_messages, c.announce_messages);
+      EXPECT_EQ(rep.merge_messages, c.merge_messages);
+      EXPECT_EQ(rep.messages, rep.announce_messages + rep.merge_messages);
+      EXPECT_EQ(rep.phases, c.phases);
+      EXPECT_EQ(rep.total_weight, c.total_weight);
+      EXPECT_EQ(rep.max_edge_congestion(g.graph()), c.max_edge_congestion);
+    }
+  }
 }
 
 TEST(DistributedMst, LargeGraphExercisesParallelRounds) {

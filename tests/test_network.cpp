@@ -218,11 +218,13 @@ TEST(Runner, CombinesDisjointInstances) {
   std::vector<EdgeDisjointInstance> work{{&s1, &a1}, {&s2, &a2}};
   const auto res = run_edge_disjoint(g, work);
   EXPECT_TRUE(res.finished);
-  EXPECT_EQ(res.per_instance.size(), 2u);
-  EXPECT_EQ(res.messages,
-            res.per_instance[0].messages + res.per_instance[1].messages);
-  EXPECT_EQ(res.rounds, std::max(res.per_instance[0].rounds,
-                                 res.per_instance[1].rounds));
+  ASSERT_EQ(res.instances.size(), 2u);
+  EXPECT_EQ(res.rounds,
+            std::max(res.instances[0].rounds, res.instances[1].rounds));
+  EXPECT_EQ(res.arc_sends.size(), s1.graph.arc_count() + s2.graph.arc_count());
+  std::uint64_t sent = 0;
+  for (auto s : res.arc_sends) sent += s;
+  EXPECT_EQ(sent, res.messages);
   // Parent congestion folds through the edge maps.
   std::uint64_t total = 0;
   for (auto c : res.parent_edge_congestion) total += c;
@@ -296,11 +298,45 @@ void expect_same_composite(const CompositeResult& got,
   EXPECT_EQ(got.messages, want.messages);
   EXPECT_EQ(got.finished, want.finished);
   EXPECT_EQ(got.parent_edge_congestion, want.parent_edge_congestion);
-  ASSERT_EQ(got.per_instance.size(), want.per_instance.size());
-  for (std::size_t i = 0; i < want.per_instance.size(); ++i) {
-    EXPECT_EQ(got.per_instance[i].rounds, want.per_instance[i].rounds) << i;
-    EXPECT_EQ(got.per_instance[i].arc_sends, want.per_instance[i].arc_sends)
-        << i;
+  EXPECT_EQ(got.arc_sends, want.arc_sends);
+  ASSERT_EQ(got.instances.size(), want.instances.size());
+  for (std::size_t i = 0; i < want.instances.size(); ++i) {
+    EXPECT_EQ(got.instances[i].rounds, want.instances[i].rounds) << i;
+    EXPECT_EQ(got.instances[i].finished, want.instances[i].finished) << i;
+  }
+}
+
+TEST(Runner, CompositeArcSendsFollowTheUnionLayout) {
+  // Both one-shot modes report per-arc sends in the union's layout: slice
+  // i, at the arc count of the parts before it, is instance i's own run.
+  Rng rng(8);
+  const Graph g = gen::random_regular(80, 10, rng);
+  const EdgePartition partition = random_edge_partition(g, 3, 4);
+  ArcId total = 0;
+  for (const Subgraph& part : partition.parts) total += part.graph.arc_count();
+  for (const CompositeMode mode :
+       {CompositeMode::kInterleaved, CompositeMode::kSequential}) {
+    SCOPED_TRACE(mode == CompositeMode::kInterleaved ? "interleaved"
+                                                     : "sequential");
+    PartBfs bfs(partition);
+    const CompositeResult res = run_edge_disjoint(g, bfs.work, {}, mode);
+    ASSERT_TRUE(res.finished);
+    ASSERT_EQ(res.arc_sends.size(), total);
+    ASSERT_EQ(res.instances.size(), partition.parts.size());
+    ArcId base = 0;
+    for (std::size_t i = 0; i < partition.parts.size(); ++i) {
+      const Graph& part = partition.parts[i].graph;
+      algo::DistributedBfs alone_alg(part, 0);
+      Network alone(part);
+      const RunResult want = alone.run(alone_alg);
+      const auto slice = res.arc_sends.begin() + base;
+      EXPECT_EQ(std::vector<std::uint64_t>(slice, slice + part.arc_count()),
+                want.arc_sends)
+          << i;
+      EXPECT_EQ(res.instances[i].rounds, want.rounds) << i;
+      EXPECT_EQ(res.instances[i].finished, want.finished) << i;
+      base += part.arc_count();
+    }
   }
 }
 
