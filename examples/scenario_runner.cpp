@@ -45,11 +45,6 @@
 //                    manifest does not vouch for (missing entry or checksum
 //                    mismatch) and drop dangling manifest entries; exits
 //                    after the sweep when no --graph is given
-//   --engine=<mode>  "event" (default): event-driven rounds — only nodes
-//                    with messages or a pending wakeup step. "dense": the
-//                    every-node sweep, the differential oracle. Reports are
-//                    bit-identical; only the wall time differs (see
-//                    bench_engine).
 //   --telemetry=<m>  "off" (default), "rounds" (per-round counter series,
 //                    cheap), or "full" (adds phase timers, inbox histograms,
 //                    annotations). One recorder spans ALL runs of the
@@ -104,25 +99,18 @@ int main(int argc, char** argv) {
   // silently change the experiment.
   static const std::vector<std::string> known_flags = {
       "graph",    "algo", "k",        "seed",    "root",    "cache",
-      "cache-gc", "list", "markdown", "stretch", "sources", "engine",
+      "cache-gc", "list", "markdown", "stretch", "sources",
       "telemetry", "trace-out", "metrics-out", "source-mode", "fault"};
   for (const auto& key : opts.keys()) {
     if (std::find(known_flags.begin(), known_flags.end(), key) ==
         known_flags.end()) {
       std::cerr << "scenario_runner: unknown option '--" << key
                 << "'; known options: --graph --algo --k --sources "
-                   "--source-mode --seed --root --stretch --engine "
+                   "--source-mode --seed --root --stretch "
                    "--fault --telemetry --trace-out --metrics-out --cache "
                    "--cache-gc --markdown --list\n";
       return 2;
     }
-  }
-
-  const std::string engine = opts.get("engine", "event");
-  if (engine != "event" && engine != "dense") {
-    std::cerr << "scenario_runner: --engine must be 'event' or 'dense', got '"
-              << engine << "'\n";
-    return 2;
   }
 
   congest::TelemetryMode tmode = congest::TelemetryMode::kOff;
@@ -193,7 +181,6 @@ int main(int argc, char** argv) {
               << source_mode << "'\n";
     return 2;
   }
-  cfg.force_dense = engine == "dense";
   congest::Telemetry telemetry(tmode);
   if (tmode != congest::TelemetryMode::kOff) cfg.telemetry = &telemetry;
 

@@ -141,6 +141,24 @@ enum class SessionEnd {
   kError,       // unrecoverable transport failure
 };
 
+/// Write `lines` in order. A failed write ends the session: kClientLost
+/// (the drop is counted) or kError. nullopt when every line went out.
+std::optional<SessionEnd> write_all(fc::serve::Service& service, int out_fd,
+                                    const std::vector<std::string>& lines) {
+  for (const std::string& line : lines) {
+    switch (write_line(out_fd, line)) {
+      case WriteStatus::kOk:
+        break;
+      case WriteStatus::kClientLost:
+        service.note_client_drop();
+        return SessionEnd::kClientLost;
+      case WriteStatus::kError:
+        return SessionEnd::kError;
+    }
+  }
+  return std::nullopt;
+}
+
 /// Graceful drain: execute everything still pending, answer it (best
 /// effort if the peer is gone), then emit one stats line OUTSIDE the
 /// request/response ledger as the farewell. out_fd < 0 = no live peer;
@@ -170,28 +188,14 @@ SessionEnd serve_fd(fc::serve::Service& service, int in_fd, int out_fd) {
     // again: a burst that arrived in one read() is processed in order, and
     // a signal mid-burst still gets those accepted lines answered below.
     while (lines.take_line(line) || (eof && lines.take_partial(line))) {
-      for (const std::string& resp : service.submit(line)) {
-        const WriteStatus st = write_line(out_fd, resp);
-        if (st == WriteStatus::kClientLost) {
-          service.note_client_drop();
-          return SessionEnd::kClientLost;
-        }
-        if (st == WriteStatus::kError) return SessionEnd::kError;
-      }
+      if (const auto end = write_all(service, out_fd, service.submit(line)))
+        return *end;
       if (service.shutdown_requested()) return SessionEnd::kShutdown;
     }
     if (g_stop) return SessionEnd::kStop;  // caller flushes + farewells
-    if (eof) {
-      for (const std::string& resp : service.flush()) {
-        const WriteStatus st = write_line(out_fd, resp);
-        if (st == WriteStatus::kClientLost) {
-          service.note_client_drop();
-          return SessionEnd::kClientLost;
-        }
-        if (st == WriteStatus::kError) return SessionEnd::kError;
-      }
-      return SessionEnd::kEof;
-    }
+    if (eof)
+      return write_all(service, out_fd, service.flush())
+          .value_or(SessionEnd::kEof);
 
     // Input idle while queries are pending => flush now rather than hold a
     // part-filled window hostage; otherwise block until bytes or a signal.
@@ -204,14 +208,8 @@ SessionEnd serve_fd(fc::serve::Service& service, int in_fd, int out_fd) {
       return SessionEnd::kError;
     }
     if (ready == 0) {
-      for (const std::string& resp : service.flush()) {
-        const WriteStatus st = write_line(out_fd, resp);
-        if (st == WriteStatus::kClientLost) {
-          service.note_client_drop();
-          return SessionEnd::kClientLost;
-        }
-        if (st == WriteStatus::kError) return SessionEnd::kError;
-      }
+      if (const auto end = write_all(service, out_fd, service.flush()))
+        return *end;
       continue;
     }
 

@@ -293,8 +293,6 @@ TelemetrySnapshot Telemetry::snapshot() const {
 
 // ---- exporters ----------------------------------------------------------
 
-std::string json_escape(std::string_view text) { return fc::json_escape(text); }
-
 namespace {
 
 void histogram_json(JsonWriter& w, const char* name,

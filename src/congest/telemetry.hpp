@@ -38,7 +38,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace fc::congest {
@@ -326,10 +325,5 @@ void write_metrics_ndjson(std::ostream& out, const TelemetrySnapshot& snap);
 /// annotations are instant events. In kRounds snapshots (no timers) each
 /// round is drawn 1 us wide so the structure stays inspectable.
 void write_chrome_trace(std::ostream& out, const TelemetrySnapshot& snap);
-
-/// JSON string escaping. Alias of fc::json_escape (util/json.hpp) — the
-/// exporters emit through the shared fc::JsonWriter; this survives for
-/// callers that predate it.
-std::string json_escape(std::string_view text);
 
 }  // namespace fc::congest

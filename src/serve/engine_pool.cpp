@@ -70,7 +70,6 @@ EnginePool::Entry& EnginePool::acquire(const scenario::GraphSpec& spec,
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->key != key) continue;
     ++stats_.hits;
-    ++it->uses;
     entries_.splice(entries_.begin(), entries_, it);  // no element moves
     Entry& entry = entries_.front();
     // A mutated graph must never be served with the engine built for its
@@ -125,7 +124,6 @@ EnginePool::Entry& EnginePool::acquire(const scenario::GraphSpec& spec,
     entry.network = std::make_unique<congest::Network>(entry.graph());
     entry.graph_revision = 1;
     entry.network_revision = 1;
-    entry.uses = 1;
   } catch (...) {
     entries_.pop_front();  // a bad spec must not leave a half-built entry
     throw;

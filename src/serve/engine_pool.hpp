@@ -82,7 +82,6 @@ class EnginePool {
     std::optional<Graph> plain;
     std::optional<WeightedGraph> weighted;
     std::unique_ptr<congest::Network> network;
-    std::uint64_t uses = 0;  // acquire() count, for stats/tests
     /// Mutation clock: install() bumps graph_revision; acquire() rebuilds
     /// `network` whenever network_revision lags and then catches it up. An
     /// entry is handed out only with the two equal.

@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "graph/properties.hpp"
 
@@ -62,7 +63,7 @@ bool read_string(const JsonValue& obj, const char* key, std::string* out,
 constexpr const char* kQueryKeys[] = {
     "id",      "spec",        "algo",    "root",       "seed",
     "k",       "sources",     "source_mode", "stretch", "max_rounds",
-    "engine",  "payload",     "deadline_ms"};
+    "payload", "deadline_ms"};
 
 }  // namespace
 
@@ -148,12 +149,21 @@ bool parse_request(const JsonValue& line, Request* out, ErrorCode* error,
       !read_uint(line, "max_rounds", &q.cfg.max_rounds, message) ||
       !read_uint(line, "deadline_ms", &q.deadline_ms, message))
     return fail(ErrorCode::kBadRequest, *message, error, message);
+  // Both land in 32-bit fields: a wider value must not wrap to another.
+  if (root > std::numeric_limits<NodeId>::max())
+    return fail(ErrorCode::kBadSource,
+                "root " + std::to_string(root) + " exceeds the largest node id",
+                error, message);
+  if (stretch > std::numeric_limits<std::uint32_t>::max())
+    return fail(ErrorCode::kBadRequest,
+                "field 'stretch' must be below 2^32, got " +
+                    std::to_string(stretch),
+                error, message);
   q.cfg.root = static_cast<NodeId>(root);
   q.cfg.stretch_k = static_cast<std::uint32_t>(stretch);
 
-  std::string source_mode, engine;
-  if (!read_string(line, "source_mode", &source_mode, message) ||
-      !read_string(line, "engine", &engine, message))
+  std::string source_mode;
+  if (!read_string(line, "source_mode", &source_mode, message))
     return fail(ErrorCode::kBadRequest, *message, error, message);
   if (source_mode == "first")
     q.cfg.source_mode = scenario::SourceMode::kFirst;
@@ -163,13 +173,6 @@ bool parse_request(const JsonValue& line, Request* out, ErrorCode* error,
     return fail(ErrorCode::kBadRequest,
                 "field 'source_mode' must be 'first' or 'random', got '" +
                     source_mode + "'",
-                error, message);
-  if (engine == "dense")
-    q.cfg.force_dense = true;
-  else if (!engine.empty() && engine != "event")
-    return fail(ErrorCode::kBadRequest,
-                "field 'engine' must be 'event' or 'dense', got '" + engine +
-                    "'",
                 error, message);
 
   if (const JsonValue* v = line.find("payload")) {

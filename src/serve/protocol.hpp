@@ -22,7 +22,6 @@
 //   source_mode  string "first" | "random" (overrides the spec's)
 //   stretch      uint   weighted-apsp stretch parameter
 //   max_rounds   uint   per-execution round cap
-//   engine       string "event" (default) | "dense"
 //   payload      bool   include typed results (distances/hops/mst_edges)
 //   deadline_ms  uint   per-query time budget, measured from admission
 //                       (0 = none); an exceeded deadline answers the typed

@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <ostream>
@@ -117,13 +118,12 @@ std::vector<std::string> Service::submit(const std::string& line) {
 namespace {
 
 /// Queries a batch primitive can answer together: same warm graph, same
-/// engine knobs — and an algorithm with a documented bit-identical batch
+/// round cap — and an algorithm with a documented bit-identical batch
 /// twin (bfs -> BatchBfs, sssp -> BatchBellmanFord).
 std::string coalesce_key(const std::string& pool_key,
                          const scenario::ScenarioConfig& cfg,
                          const std::string& algo) {
-  return algo + '\n' + pool_key + '\n' + (cfg.force_dense ? "d" : "e") +
-         '\n' + std::to_string(cfg.max_rounds);
+  return algo + '\n' + pool_key + '\n' + std::to_string(cfg.max_rounds);
 }
 
 }  // namespace
@@ -165,7 +165,6 @@ std::vector<std::string> Service::flush() {
           .push_back(i);
   }
 
-  std::vector<std::uint8_t> handled(batch.size(), 0);
   for (const auto& [key, members] : groups) {
     if (members.size() < 2) continue;
     // sssp coalesces only on weighted specs: the batch twin needs the
@@ -173,17 +172,13 @@ std::vector<std::string> Service::flush() {
     if (batch[members.front()].query.algo == "sssp" &&
         !batch[members.front()].spec.has_weights())
       continue;
-    if (batch[members.front()].query.algo == "bfs")
-      run_coalesced_bfs(members, batch, deadlines, responses);
-    else
-      run_coalesced_sssp(members, batch, deadlines, responses);
-    for (const std::size_t i : members) handled[i] = 1;
-    ++stats_.coalesced_runs;
-    stats_.coalesced_queries += members.size();
+    run_coalesced(members, batch, deadlines, responses);
   }
 
+  // Every query no coalesced run answered (an empty line) runs alone.
   for (std::size_t i = 0; i < batch.size(); ++i)
-    if (!handled[i]) responses[i] = run_one(batch[i], deadlines[i]);
+    if (responses[i].line.empty())
+      responses[i] = run_one(batch[i], deadlines[i]);
 
   active_telemetry_ = nullptr;
   if (telemetry.enabled() && opts_.metrics != nullptr) {
@@ -367,9 +362,9 @@ std::optional<congest::CancelToken::Clock::time_point> group_deadline_of(
 
 }  // namespace
 
-void Service::run_coalesced_bfs(
+void Service::run_coalesced(
     const std::vector<std::size_t>& members,
-    std::vector<PendingQuery>& batch,
+    const std::vector<PendingQuery>& batch,
     const std::vector<std::optional<Clock::time_point>>& deadlines,
     std::vector<Reply>& responses) {
   const PendingQuery& first = batch[members.front()];
@@ -407,7 +402,10 @@ void Service::run_coalesced_bfs(
     sources.push_back(root);
     live.push_back(i);
   }
-  if (live.empty()) return;
+  // Nothing to share: a lone survivor is left unanswered for run_one.
+  if (live.size() < 2) return;
+  ++stats_.coalesced_runs;
+  stats_.coalesced_queries += live.size();
 
   try {
     // Group members share their engine knobs (the coalesce key).
@@ -419,9 +417,15 @@ void Service::run_coalesced_bfs(
       token.set_deadline(*group);
       ropts.cancel = &token;
     }
-    algo::BatchBfs alg(g, sources);
+    std::optional<algo::BatchBfs> bfs;
+    std::optional<apps::BatchBellmanFord> sssp;
+    if (first.query.algo == "bfs")
+      bfs.emplace(g, sources);
+    else
+      sssp.emplace(entry->weighted_graph(), sources);
     const std::uint64_t runs_before = entry->network->runs_started();
-    const auto cost = entry->network->run(alg, ropts);
+    const congest::RunResult cost = entry->network->run(
+        bfs ? static_cast<congest::Algorithm&>(*bfs) : *sssp, ropts);
     if (cost.cancelled) {
       for (std::size_t s = 0; s < live.size(); ++s)
         responses[live[s]] = deadline_exceeded_response(
@@ -430,117 +434,28 @@ void Service::run_coalesced_bfs(
                 " engine rounds (coalesced run cancelled)");
       return;
     }
+
+    // The batch execution's costs, shared by every member's response.
+    Response shared;
+    shared.ok = true;
+    shared.cache_hit = cache_hit;
+    shared.engine_reused =
+        cache_hit && entry->network->runs_started() > runs_before;
+    shared.coalesced = static_cast<std::uint32_t>(live.size());
+    scenario::ScenarioResult& r = shared.result;
+    r.graph = entry->key;
+    r.algo = first.query.algo;
+    r.nodes = g.node_count();
+    r.edges = g.edge_count();
+    r.rounds = cost.rounds;
+    r.messages = cost.messages;
+    r.max_arc_congestion = congest::max_arc_congestion(cost.arc_sends);
+    r.max_edge_congestion = congest::max_edge_congestion(g, cost.arc_sends);
     const congest::HistogramSummary h =
         congest::summarize_counts(cost.arc_sends);
-
-    for (std::size_t s = 0; s < live.size(); ++s) {
-      if (deadlines[live[s]] && Clock::now() >= *deadlines[live[s]]) {
-        responses[live[s]] = deadline_exceeded_response(
-            batch[live[s]].query.id, 0, "answer produced after the deadline");
-        continue;
-      }
-      const std::size_t i = live[s];
-      Response resp;
-      resp.id = batch[i].query.id;
-      resp.ok = true;
-      resp.cache_hit = cache_hit;
-      resp.engine_reused =
-          cache_hit && entry->network->runs_started() > runs_before;
-      resp.coalesced = static_cast<std::uint32_t>(live.size());
-      scenario::ScenarioResult& r = resp.result;
-      r.graph = entry->key;
-      r.algo = "bfs";
-      r.nodes = g.node_count();
-      r.edges = g.edge_count();
-      r.rounds = cost.rounds;
-      r.messages = cost.messages;
-      r.max_arc_congestion = congest::max_arc_congestion(cost.arc_sends);
-      r.max_edge_congestion =
-          congest::max_edge_congestion(g, cost.arc_sends);
-      r.arc_p50 = h.p50;
-      r.arc_p99 = h.p99;
-      r.finished = cost.finished;
-      r.note = "coalesced depth=" +
-               std::to_string(alg.depth(static_cast<std::uint32_t>(s))) +
-               " reached=" +
-               std::to_string(
-                   alg.reached_count(static_cast<std::uint32_t>(s)));
-      if (batch[i].query.want_payload) {
-        resp.has_payload = true;
-        resp.payload.hops.push_back(
-            alg.source_distances(static_cast<std::uint32_t>(s)));
-        resp.payload.sources = {sources[s]};
-      }
-      responses[i] = {serialize(resp), true};
-    }
-  } catch (const std::exception& err) {
-    for (const std::size_t i : live)
-      responses[i] = fail(batch[i].query.id, ErrorCode::kInternal, err.what());
-  }
-}
-
-void Service::run_coalesced_sssp(
-    const std::vector<std::size_t>& members,
-    std::vector<PendingQuery>& batch,
-    const std::vector<std::optional<Clock::time_point>>& deadlines,
-    std::vector<Reply>& responses) {
-  const PendingQuery& first = batch[members.front()];
-  bool cache_hit = false;
-  EnginePool::Entry* entry = nullptr;
-  try {
-    prepare_dynamic(first.spec);
-    entry = &pool_.acquire(first.spec, &cache_hit);
-  } catch (const std::exception& err) {
-    for (const std::size_t i : members)
-      responses[i] = fail(batch[i].query.id, ErrorCode::kBadSpec, err.what());
-    return;
-  }
-  const WeightedGraph& wg = entry->weighted_graph();
-  const Graph& g = wg.graph();
-
-  std::vector<NodeId> sources;
-  std::vector<std::size_t> live;
-  for (const std::size_t i : members) {
-    if (deadlines[i] && Clock::now() >= *deadlines[i]) {
-      responses[i] = deadline_exceeded_response(
-          batch[i].query.id, 0, "deadline expired before execution");
-      continue;
-    }
-    const NodeId root = batch[i].query.cfg.root;
-    if (root >= g.node_count()) {
-      responses[i] = fail(
-          batch[i].query.id, ErrorCode::kBadSource,
-          "root " + std::to_string(root) +
-              " out of range for n=" + std::to_string(g.node_count()));
-      continue;
-    }
-    sources.push_back(root);
-    live.push_back(i);
-  }
-  if (live.empty()) return;
-
-  try {
-    // Group members share their engine knobs (the coalesce key).
-    apps::BatchSsspOptions opts{first.query.cfg, entry->network.get()};
-    opts.telemetry = active_telemetry_;
-    opts.pool = opts_.pool;
-    congest::CancelToken token;
-    if (const auto group = group_deadline_of(live, deadlines)) {
-      token.set_deadline(*group);
-      opts.cancel = &token;
-    }
-    const std::uint64_t runs_before = entry->network->runs_started();
-    auto rep = apps::batch_sssp(wg, sources, opts);
-    if (rep.cancelled) {
-      for (std::size_t s = 0; s < live.size(); ++s)
-        responses[live[s]] = deadline_exceeded_response(
-            batch[live[s]].query.id, s == 0 ? rep.rounds : 0,
-            "deadline expired after " + std::to_string(rep.rounds) +
-                " engine rounds (coalesced run cancelled)");
-      return;
-    }
-    const congest::HistogramSummary h =
-        congest::summarize_counts(rep.arc_sends);
+    r.arc_p50 = h.p50;
+    r.arc_p99 = h.p99;
+    r.finished = cost.finished;
 
     for (std::size_t s = 0; s < live.size(); ++s) {
       const std::size_t i = live[s];
@@ -549,32 +464,29 @@ void Service::run_coalesced_sssp(
             batch[i].query.id, 0, "answer produced after the deadline");
         continue;
       }
-      Response resp;
+      Response resp = shared;
       resp.id = batch[i].query.id;
-      resp.ok = true;
-      resp.cache_hit = cache_hit;
-      resp.engine_reused =
-          cache_hit && entry->network->runs_started() > runs_before;
-      resp.coalesced = static_cast<std::uint32_t>(live.size());
-      scenario::ScenarioResult& r = resp.result;
-      r.graph = entry->key;
-      r.algo = "sssp";
-      r.nodes = g.node_count();
-      r.edges = g.edge_count();
-      r.rounds = rep.rounds;
-      r.messages = rep.messages;
-      r.max_arc_congestion = congest::max_arc_congestion(rep.arc_sends);
-      r.max_edge_congestion = congest::max_edge_congestion(g, rep.arc_sends);
-      r.arc_p50 = h.p50;
-      r.arc_p99 = h.p99;
-      r.finished = rep.finished;
-      r.note = "coalesced reached=" + std::to_string(rep.reached[s]) +
-               " max_dist=" + std::to_string(rep.max_dist[s]);
-      if (batch[i].query.want_payload) {
-        resp.has_payload = true;
-        resp.payload.distances.push_back(std::move(rep.dist[s]));
-        resp.payload.sources = {sources[s]};
+      resp.has_payload = batch[i].query.want_payload;
+      const auto q = static_cast<std::uint32_t>(s);
+      if (bfs) {
+        resp.result.note = "coalesced depth=" + std::to_string(bfs->depth(q)) +
+                           " reached=" + std::to_string(bfs->reached_count(q));
+        if (resp.has_payload)
+          resp.payload.hops.push_back(bfs->source_distances(q));
+      } else {
+        std::vector<Weight> dist = sssp->source_distances(q);
+        NodeId reached = 0;
+        Weight max_dist = 0;
+        for (const Weight d : dist)
+          if (d != kInfWeight) {
+            ++reached;
+            max_dist = std::max(max_dist, d);
+          }
+        resp.result.note = "coalesced reached=" + std::to_string(reached) +
+                           " max_dist=" + std::to_string(max_dist);
+        if (resp.has_payload) resp.payload.distances.push_back(std::move(dist));
       }
+      if (resp.has_payload) resp.payload.sources = {sources[s]};
       responses[i] = {serialize(resp), true};
     }
   } catch (const std::exception& err) {

@@ -15,11 +15,13 @@
 //    pending (or a flush/shutdown arrives). Within a flushed window,
 //    same-graph bfs queries collapse into ONE algo::BatchBfs execution and
 //    same-graph sssp queries (on weighted specs) into ONE
-//    apps::batch_sssp execution — the PR-4 pipelined batch primitives,
-//    whose per-query final answers are documented (and tested) to be
-//    bit-identical to individual runs. Coalesced responses share the batch
-//    execution's cost measures and say so via `coalesced=k`; window=1
-//    (the default) therefore reproduces ScenarioRunner exactly.
+//    apps::BatchBellmanFord execution on the pooled engine — the pipelined
+//    batch primitives, whose per-query final answers are documented (and
+//    tested) to be bit-identical to individual runs. Coalesced responses
+//    share the batch execution's cost measures and say so via
+//    `coalesced=k`. A query whose window-mates all errored or expired has
+//    nothing to share and runs alone, through the path window=1 (the
+//    default) takes for every query, which reproduces ScenarioRunner.
 //
 //  * Typed errors, always. A malformed line, unknown algorithm, bad spec or
 //    out-of-range source becomes an ok=false response with an ErrorCode —
@@ -88,9 +90,10 @@ struct ServiceStats {
   std::uint64_t responses = 0;  // response lines produced (incl. errors)
   std::uint64_t errors = 0;     // ok=false responses
   std::uint64_t flushes = 0;    // windows executed
-  /// Queries answered through a shared batch execution (coalesced >= 2).
+  /// Live queries answered through a shared batch execution (coalesced
+  /// >= 2); window-mates that errored before the run are not counted.
   std::uint64_t coalesced_queries = 0;
-  /// Batch executions that replaced >= 2 individual runs.
+  /// Batch executions shared by >= 2 live queries.
   std::uint64_t coalesced_runs = 0;
   /// Accepted update commands, and the churn batches they applied.
   std::uint64_t updates = 0;
@@ -184,14 +187,14 @@ class Service {
   /// Apply one update command: flush happens in submit(); this advances the
   /// scenario and installs the mutated graph into the pool.
   Reply update_response(const Request& req);
-  void run_coalesced_bfs(
+  /// Answer one coalesce group (>= 2 bfs, or >= 2 sssp on a weighted
+  /// spec) with ONE batch execution on the pooled engine. Members with an
+  /// out-of-range root or an expired deadline are answered with their
+  /// error first; if fewer than two remain, the survivor's response stays
+  /// empty and flush() serves it through run_one.
+  void run_coalesced(
       const std::vector<std::size_t>& members,
-      std::vector<PendingQuery>& batch,
-      const std::vector<std::optional<Clock::time_point>>& deadlines,
-      std::vector<Reply>& responses);
-  void run_coalesced_sssp(
-      const std::vector<std::size_t>& members,
-      std::vector<PendingQuery>& batch,
+      const std::vector<PendingQuery>& batch,
       const std::vector<std::optional<Clock::time_point>>& deadlines,
       std::vector<Reply>& responses);
   std::string stats_response(std::uint64_t id) const;

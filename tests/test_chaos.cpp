@@ -448,13 +448,11 @@ TEST(ServeDuress, DeadlineExpiredInQueueAnswersBeforeExecution) {
 
 TEST(ServeDuress, DeadlineCancelsTheEngineMidRun) {
   Service service(ServiceOptions{});
-  // Dense-engine bfs on a 16k path sweeps all 16k nodes for each of its
-  // ~16k rounds — hundreds of milliseconds of engine time — so a 30ms
-  // deadline must be enforced by the token cancelling the run, not by the
-  // pre-run or post-run checks.
+  // The textbook broadcast of n messages over a 4k path runs 12 007 rounds
+  // and sends 24M messages, so a 30ms deadline must be enforced by the
+  // token cancelling the run, not by the pre-run or post-run checks.
   const auto out = service.submit(query_line(
-      "path:n=16000", "bfs",
-      "\"id\": 1, \"deadline_ms\": 30, \"engine\": \"dense\""));
+      "path:n=4000", "broadcast", "\"id\": 1, \"deadline_ms\": 30"));
   ASSERT_EQ(out.size(), 1u);
   const JsonValue r = parse_json(out.front());
   EXPECT_FALSE(r.flag("ok"));
@@ -465,12 +463,12 @@ TEST(ServeDuress, DeadlineCancelsTheEngineMidRun) {
 
 TEST(ServeDuress, DeadlineCancelsWeightedApspMidRun) {
   Service service(ServiceOptions{});
-  // weighted-apsp's fast broadcast runs on the dense engine over a 4k path:
-  // leader election alone sweeps all nodes for thousands of rounds, so the
-  // deadline must cut the broadcast through the token, like sssp's run.
+  // weighted-apsp over a 4k path runs 32 008 rounds, thousands of them in
+  // its fast broadcast's leader election, so the deadline must cut the
+  // broadcast through the token, like sssp's run.
   const auto out = service.submit(query_line(
       "path:n=4000,weights=1..9", "weighted-apsp",
-      "\"id\": 1, \"deadline_ms\": 30, \"engine\": \"dense\""));
+      "\"id\": 1, \"deadline_ms\": 30"));
   ASSERT_EQ(out.size(), 1u);
   const JsonValue r = parse_json(out.front());
   EXPECT_FALSE(r.flag("ok"));

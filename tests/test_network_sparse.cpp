@@ -226,7 +226,7 @@ TEST(SparseEngine, EveryRegisteredAlgoMatchesThroughTheRunner) {
   // The acceptance bar: every --algo the ScenarioRunner registers produces
   // a bit-identical report (rounds, messages, congestion, note — the note
   // encodes per-query outputs such as depths, digests, and weights) under
-  // --engine=dense vs the default event-driven engine.
+  // the force_dense sweep vs the default event-driven engine.
   const scenario::ScenarioRunner runner;
   auto algos = runner.algorithms();
   const auto weighted = runner.weighted_algorithms();

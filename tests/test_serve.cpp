@@ -11,7 +11,8 @@
 //    identically; capacity-1 pools evict least-recently-used.
 //  * Coalescing: same-graph bfs/sssp queries flushed in one window share
 //    ONE batch execution whose per-query payloads are bit-identical to
-//    the individual runs.
+//    the individual runs; a lone survivor of a window runs individually,
+//    and golden windows pin whole response lines.
 //  * Malformed input: every broken line yields a typed error response and
 //    the service keeps answering the next valid query — no state leaks.
 //  * Random source placement: seed-keyed, prefix-stable, spec-driven, and
@@ -273,6 +274,305 @@ TEST(ServeCoalesce, InvalidRootErrorsIndividuallyInsideWindow) {
   }
 }
 
+TEST(ServeCoalesce, LoneSurvivorIsServedAlone) {
+  // A window whose only window-mate drops out (here: a bad root) leaves
+  // nothing to share, so the survivor runs alone: its line is the line the
+  // same two queries produce at window=1.
+  const char* const cases[][2] = {
+      {"hypercube:dim=6", "bfs"},
+      {"rmat:n=512,deg=6,seed=3,weights=1..100", "sssp"},
+  };
+  for (const auto& [spec, algo] : cases) {
+    SCOPED_TRACE(spec);
+    const std::string bad =
+        query_line(spec, algo, "\"id\": 1, \"root\": 4096");
+    const std::string good =
+        query_line(spec, algo, "\"id\": 2, \"root\": 5, \"payload\": true");
+    Service solo(ServiceOptions{});
+    solo.submit(bad);
+    const std::vector<std::string> want = solo.submit(good);
+    ASSERT_EQ(want.size(), 1u);
+
+    ServiceOptions sopts;
+    sopts.window = 2;
+    Service windowed(std::move(sopts));
+    EXPECT_TRUE(windowed.submit(bad).empty());
+    const std::vector<std::string> got = windowed.submit(good);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(parse_json(got[0]).str("error", ""), "bad-source");
+    EXPECT_EQ(got[1], want[0]);
+    EXPECT_EQ(parse_json(got[1]).num("coalesced"), 1);
+  }
+}
+
+TEST(ServeCoalesce, StatsCountOnlySharedRuns) {
+  ServiceOptions sopts;
+  sopts.window = 3;
+  Service service(std::move(sopts));
+  // A window of three with one bad root: one run, shared by two queries.
+  service.submit(query_line(kPlainSpec, "bfs", "\"root\": 0"));
+  service.submit(query_line(kPlainSpec, "bfs", "\"root\": 4096"));
+  ASSERT_EQ(
+      service.submit(query_line(kPlainSpec, "bfs", "\"root\": 1")).size(),
+      3u);
+  EXPECT_EQ(service.stats().coalesced_runs, 1u);
+  EXPECT_EQ(service.stats().coalesced_queries, 2u);
+
+  // A window left with one live member shares nothing.
+  service.submit(query_line(kPlainSpec, "bfs", "\"root\": 4096"));
+  service.submit(query_line(kPlainSpec, "bfs", "\"root\": 2"));
+  ASSERT_EQ(service.submit("{\"cmd\": \"flush\"}").size(), 2u);
+  EXPECT_EQ(service.stats().coalesced_runs, 1u);
+  EXPECT_EQ(service.stats().coalesced_queries, 2u);
+}
+
+/// Golden windows: the full response lines of coalesced bfs and sssp
+/// windows, with and without payloads, with a bad root inside a window of
+/// three, and with both algorithms in one window. Pinned from the
+/// implementation that still ran one coalesced path per algorithm; every
+/// engine pool reproduces them.
+struct GoldenWindow {
+  std::vector<std::string> requests;
+  std::vector<std::string> responses;
+};
+
+const GoldenWindow kServeGolden[] = {
+    {{
+         R"({"id": 1, "spec": "thick_cycle:groups=4,width=3", "algo": "bfs", )"
+         R"("root": 0, "payload": true})",
+         R"({"id": 2, "spec": "thick_cycle:groups=4,width=3", "algo": "bfs", )"
+         R"("root": 5, "payload": true})",
+         R"({"id": 3, "spec": "thick_cycle:groups=4,width=3", "algo": "bfs", )"
+         R"("root": 11, "payload": true})",
+     },
+     {
+         R"({"id": 1, "ok": true, "graph": "thick_cycle:groups=4,width=3", )"
+         R"("algo": "bfs", "nodes": 12, "edges": 24, "rounds": 7, )"
+         R"("messages": 111, "max_arc_congestion": 3, )"
+         R"("max_edge_congestion": 6, "arc_p50": 2, "arc_p99": 3, )"
+         R"("finished": true, "note": "coalesced depth=3 reached=12", )"
+         R"("cache_hit": false, "engine_reused": false, "coalesced": 3, )"
+         R"("sources": [0], "hops": [[0, 1, 1, 1, 2, 2, 2, 3, 3, 1, 2, 2]]})",
+         R"({"id": 2, "ok": true, "graph": "thick_cycle:groups=4,width=3", )"
+         R"("algo": "bfs", "nodes": 12, "edges": 24, "rounds": 7, )"
+         R"("messages": 111, "max_arc_congestion": 3, )"
+         R"("max_edge_congestion": 6, "arc_p50": 2, "arc_p99": 3, )"
+         R"("finished": true, "note": "coalesced depth=3 reached=12", )"
+         R"("cache_hit": false, "engine_reused": false, "coalesced": 3, )"
+         R"("sources": [5], "hops": [[2, 2, 1, 1, 1, 0, 2, 2, 1, 3, 3, 2]]})",
+         R"({"id": 3, "ok": true, "graph": "thick_cycle:groups=4,width=3", )"
+         R"("algo": "bfs", "nodes": 12, "edges": 24, "rounds": 7, )"
+         R"("messages": 111, "max_arc_congestion": 3, )"
+         R"("max_edge_congestion": 6, "arc_p50": 2, "arc_p99": 3, )"
+         R"("finished": true, "note": "coalesced depth=3 reached=12", )"
+         R"("cache_hit": false, "engine_reused": false, "coalesced": 3, )"
+         R"("sources": [11], "hops": [[2, 2, 1, 3, 3, 2, 2, 2, 1, 1, 1, 0]]})",
+     }},
+    {{
+         R"({"id": 4, "spec": "hypercube:dim=6", "algo": "bfs", "root": 0})",
+         R"({"id": 5, "spec": "hypercube:dim=6", "algo": "bfs", "root": 9})",
+         R"({"id": 6, "spec": "hypercube:dim=6", "algo": "bfs", "root": 63})",
+     },
+     {
+         R"({"id": 4, "ok": true, "graph": "hypercube:dim=6", "algo": "bfs", )"
+         R"("nodes": 64, "edges": 192, "rounds": 10, "messages": 963, )"
+         R"("max_arc_congestion": 3, "max_edge_congestion": 6, "arc_p50": 3, )"
+         R"("arc_p99": 3, "finished": true, )"
+         R"("note": "coalesced depth=6 reached=64", "cache_hit": false, )"
+         R"("engine_reused": false, "coalesced": 3})",
+         R"({"id": 5, "ok": true, "graph": "hypercube:dim=6", "algo": "bfs", )"
+         R"("nodes": 64, "edges": 192, "rounds": 10, "messages": 963, )"
+         R"("max_arc_congestion": 3, "max_edge_congestion": 6, "arc_p50": 3, )"
+         R"("arc_p99": 3, "finished": true, )"
+         R"("note": "coalesced depth=6 reached=64", "cache_hit": false, )"
+         R"("engine_reused": false, "coalesced": 3})",
+         R"({"id": 6, "ok": true, "graph": "hypercube:dim=6", "algo": "bfs", )"
+         R"("nodes": 64, "edges": 192, "rounds": 10, "messages": 963, )"
+         R"("max_arc_congestion": 3, "max_edge_congestion": 6, "arc_p50": 3, )"
+         R"("arc_p99": 3, "finished": true, )"
+         R"("note": "coalesced depth=6 reached=64", "cache_hit": false, )"
+         R"("engine_reused": false, "coalesced": 3})",
+     }},
+    {{
+         R"({"id": 7, "spec": "thick_cycle:groups=4,width=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 0, "payload": true})",
+         R"({"id": 8, "spec": "thick_cycle:groups=4,width=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 7, "payload": true})",
+         R"({"id": 9, "spec": "thick_cycle:groups=4,width=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 11, "payload": true})",
+     },
+     {
+         R"({"id": 7, "ok": true, )"
+         R"("graph": "thick_cycle:groups=4,weights=1..9,width=3", )"
+         R"("algo": "sssp", "nodes": 12, "edges": 24, "rounds": 9, )"
+         R"("messages": 126, "max_arc_congestion": 4, )"
+         R"("max_edge_congestion": 8, "arc_p50": 3, "arc_p99": 4, )"
+         R"("finished": true, "note": "coalesced reached=12 max_dist=11", )"
+         R"("cache_hit": false, "engine_reused": false, "coalesced": 3, )"
+         R"("sources": [0], "distances": [[0, 9, 8, 3, 4, 6, 7, 11, 10, 2, 8, )"
+         R"(7]]})",
+         R"({"id": 8, "ok": true, )"
+         R"("graph": "thick_cycle:groups=4,weights=1..9,width=3", )"
+         R"("algo": "sssp", "nodes": 12, "edges": 24, "rounds": 9, )"
+         R"("messages": 126, "max_arc_congestion": 4, )"
+         R"("max_edge_congestion": 8, "arc_p50": 3, "arc_p99": 4, )"
+         R"("finished": true, "note": "coalesced reached=12 max_dist=13", )"
+         R"("cache_hit": false, "engine_reused": false, "coalesced": 3, )"
+         R"("sources": [7], "distances": [[11, 10, 9, 8, 7, 9, 6, 0, 5, 13, )"
+         R"(7, 8]]})",
+         R"({"id": 9, "ok": true, )"
+         R"("graph": "thick_cycle:groups=4,weights=1..9,width=3", )"
+         R"("algo": "sssp", "nodes": 12, "edges": 24, "rounds": 9, )"
+         R"("messages": 126, "max_arc_congestion": 4, )"
+         R"("max_edge_congestion": 8, "arc_p50": 3, "arc_p99": 4, )"
+         R"("finished": true, "note": "coalesced reached=12 max_dist=10", )"
+         R"("cache_hit": false, "engine_reused": false, "coalesced": 3, )"
+         R"("sources": [11], "distances": [[7, 2, 1, 6, 6, 3, 10, 8, 7, 5, 1, )"
+         R"(0]]})",
+     }},
+    {{
+         R"({"id": 10, "spec": "dumbbell:s=24,bridges=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 0})",
+         R"({"id": 11, "spec": "dumbbell:s=24,bridges=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 30})",
+         R"({"id": 12, "spec": "dumbbell:s=24,bridges=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 47})",
+     },
+     {
+         R"({"id": 10, "ok": true, )"
+         R"("graph": "dumbbell:bridges=3,s=24,weights=1..9", "algo": "sssp", )"
+         R"("nodes": 48, "edges": 555, "rounds": 12, "messages": 6282, )"
+         R"("max_arc_congestion": 8, "max_edge_congestion": 16, "arc_p50": 5, )"
+         R"("arc_p99": 8, "finished": true, )"
+         R"("note": "coalesced reached=48 max_dist=9", "cache_hit": false, )"
+         R"("engine_reused": false, "coalesced": 3})",
+         R"({"id": 11, "ok": true, )"
+         R"("graph": "dumbbell:bridges=3,s=24,weights=1..9", "algo": "sssp", )"
+         R"("nodes": 48, "edges": 555, "rounds": 12, "messages": 6282, )"
+         R"("max_arc_congestion": 8, "max_edge_congestion": 16, "arc_p50": 5, )"
+         R"("arc_p99": 8, "finished": true, )"
+         R"("note": "coalesced reached=48 max_dist=10", "cache_hit": false, )"
+         R"("engine_reused": false, "coalesced": 3})",
+         R"({"id": 12, "ok": true, )"
+         R"("graph": "dumbbell:bridges=3,s=24,weights=1..9", "algo": "sssp", )"
+         R"("nodes": 48, "edges": 555, "rounds": 12, "messages": 6282, )"
+         R"("max_arc_congestion": 8, "max_edge_congestion": 16, "arc_p50": 5, )"
+         R"("arc_p99": 8, "finished": true, )"
+         R"("note": "coalesced reached=48 max_dist=10", "cache_hit": false, )"
+         R"("engine_reused": false, "coalesced": 3})",
+     }},
+    {{
+         R"({"id": 13, "spec": "thick_cycle:groups=4,width=3", "algo": "bfs", )"
+         R"("root": 1, "payload": true})",
+         R"({"id": 14, "spec": "thick_cycle:groups=4,width=3", "algo": "bfs", )"
+         R"("root": 4096, "payload": true})",
+         R"({"id": 15, "spec": "thick_cycle:groups=4,width=3", "algo": "bfs", )"
+         R"("root": 2, "payload": true})",
+     },
+     {
+         R"({"id": 13, "ok": true, "graph": "thick_cycle:groups=4,width=3", )"
+         R"("algo": "bfs", "nodes": 12, "edges": 24, "rounds": 7, )"
+         R"("messages": 74, "max_arc_congestion": 2, )"
+         R"("max_edge_congestion": 4, "arc_p50": 2, "arc_p99": 2, )"
+         R"("finished": true, "note": "coalesced depth=3 reached=12", )"
+         R"("cache_hit": true, "engine_reused": true, "coalesced": 2, )"
+         R"("sources": [1], "hops": [[1, 0, 1, 2, 1, 2, 3, 2, 3, 2, 1, 2]]})",
+         R"({"id": 14, "ok": false, "error": "bad-source", )"
+         R"("message": "root 4096 out of range for n=12"})",
+         R"({"id": 15, "ok": true, "graph": "thick_cycle:groups=4,width=3", )"
+         R"("algo": "bfs", "nodes": 12, "edges": 24, "rounds": 7, )"
+         R"("messages": 74, "max_arc_congestion": 2, )"
+         R"("max_edge_congestion": 4, "arc_p50": 2, "arc_p99": 2, )"
+         R"("finished": true, "note": "coalesced depth=3 reached=12", )"
+         R"("cache_hit": true, "engine_reused": true, "coalesced": 2, )"
+         R"("sources": [2], "hops": [[1, 1, 0, 2, 2, 1, 3, 3, 2, 2, 2, 1]]})",
+     }},
+    {{
+         R"({"id": 16, "spec": "thick_cycle:groups=4,width=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 3})",
+         R"({"id": 17, "spec": "thick_cycle:groups=4,width=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 99})",
+         R"({"id": 18, "spec": "thick_cycle:groups=4,width=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 4})",
+     },
+     {
+         R"({"id": 16, "ok": true, )"
+         R"("graph": "thick_cycle:groups=4,weights=1..9,width=3", )"
+         R"("algo": "sssp", "nodes": 12, "edges": 24, "rounds": 8, )"
+         R"("messages": 80, "max_arc_congestion": 4, )"
+         R"("max_edge_congestion": 6, "arc_p50": 2, "arc_p99": 4, )"
+         R"("finished": true, "note": "coalesced reached=12 max_dist=8", )"
+         R"("cache_hit": true, "engine_reused": true, "coalesced": 2})",
+         R"({"id": 17, "ok": false, "error": "bad-source", )"
+         R"("message": "root 99 out of range for n=12"})",
+         R"({"id": 18, "ok": true, )"
+         R"("graph": "thick_cycle:groups=4,weights=1..9,width=3", )"
+         R"("algo": "sssp", "nodes": 12, "edges": 24, "rounds": 8, )"
+         R"("messages": 80, "max_arc_congestion": 4, )"
+         R"("max_edge_congestion": 6, "arc_p50": 2, "arc_p99": 4, )"
+         R"("finished": true, "note": "coalesced reached=12 max_dist=7", )"
+         R"("cache_hit": true, "engine_reused": true, "coalesced": 2})",
+     }},
+    {{
+         R"({"id": 19, "spec": "thick_cycle:groups=4,width=3", "algo": "bfs", )"
+         R"("root": 6})",
+         R"({"id": 20, "spec": "thick_cycle:groups=4,width=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 6, "payload": true})",
+         R"({"id": 21, "spec": "thick_cycle:groups=4,width=3", "algo": "bfs", )"
+         R"("root": 8})",
+         R"({"id": 22, "spec": "thick_cycle:groups=4,width=3,weights=1..9", )"
+         R"("algo": "sssp", "root": 2, "payload": true})",
+     },
+     {
+         R"({"id": 19, "ok": true, "graph": "thick_cycle:groups=4,width=3", )"
+         R"("algo": "bfs", "nodes": 12, "edges": 24, "rounds": 7, )"
+         R"("messages": 74, "max_arc_congestion": 2, )"
+         R"("max_edge_congestion": 4, "arc_p50": 2, "arc_p99": 2, )"
+         R"("finished": true, "note": "coalesced depth=3 reached=12", )"
+         R"("cache_hit": true, "engine_reused": true, "coalesced": 2})",
+         R"({"id": 20, "ok": true, )"
+         R"("graph": "thick_cycle:groups=4,weights=1..9,width=3", )"
+         R"("algo": "sssp", "nodes": 12, "edges": 24, "rounds": 8, )"
+         R"("messages": 86, "max_arc_congestion": 3, )"
+         R"("max_edge_congestion": 6, "arc_p50": 2, "arc_p99": 3, )"
+         R"("finished": true, "note": "coalesced reached=12 max_dist=11", )"
+         R"("cache_hit": true, "engine_reused": true, "coalesced": 2, )"
+         R"("sources": [6], "distances": [[7, 10, 9, 4, 5, 7, 0, 6, 5, 9, 11, )"
+         R"(10]]})",
+         R"({"id": 21, "ok": true, "graph": "thick_cycle:groups=4,width=3", )"
+         R"("algo": "bfs", "nodes": 12, "edges": 24, "rounds": 7, )"
+         R"("messages": 74, "max_arc_congestion": 2, )"
+         R"("max_edge_congestion": 4, "arc_p50": 2, "arc_p99": 2, )"
+         R"("finished": true, "note": "coalesced depth=3 reached=12", )"
+         R"("cache_hit": true, "engine_reused": true, "coalesced": 2})",
+         R"({"id": 22, "ok": true, )"
+         R"("graph": "thick_cycle:groups=4,weights=1..9,width=3", )"
+         R"("algo": "sssp", "nodes": 12, "edges": 24, "rounds": 8, )"
+         R"("messages": 86, "max_arc_congestion": 3, )"
+         R"("max_edge_congestion": 6, "arc_p50": 2, "arc_p99": 3, )"
+         R"("finished": true, "note": "coalesced reached=12 max_dist=9", )"
+         R"("cache_hit": true, "engine_reused": true, "coalesced": 2, )"
+         R"("sources": [2], "distances": [[8, 1, 0, 5, 5, 2, 9, 9, 6, 6, 2, )"
+         R"(1]]})",
+     }},
+};
+
+TEST(ServeGolden, CoalescedWindowsAtPools1_2_8) {
+  for (const std::size_t threads : kThreads) {
+    SCOPED_TRACE(threads);
+    ThreadPool tp(threads);
+    ServiceOptions sopts;
+    sopts.pool = &tp;
+    sopts.window = 8;
+    Service service(std::move(sopts));
+    for (const GoldenWindow& w : kServeGolden) {
+      for (const std::string& line : w.requests)
+        EXPECT_TRUE(service.submit(line).empty()) << line;
+      EXPECT_EQ(service.submit("{\"cmd\": \"flush\"}"), w.responses);
+    }
+  }
+}
+
 TEST(ServeControl, FlushStatsAndShutdown) {
   ServiceOptions sopts;
   sopts.window = 8;
@@ -325,8 +625,9 @@ TEST(ServeErrors, EveryMalformedLineGetsTypedErrorAndServiceKeepsServing) {
        "bad-request", 7},
       {"{\"id\": 8, \"spec\": \"x\", \"algo\": \"bfs\", \"root\": 1.5}",
        "bad-request", 8},
+      // no engine switch on the wire: the dense sweep is test-only
       {"{\"id\": 9, \"spec\": \"x\", \"algo\": \"bfs\", "
-       "\"engine\": \"warp\"}",
+       "\"engine\": \"dense\"}",
        "bad-request", 9},
       {"{\"id\": 10, \"spec\": \"x\", \"algo\": \"bfs\", "
        "\"source_mode\": \"slapdash\"}",
@@ -354,6 +655,13 @@ TEST(ServeErrors, EveryMalformedLineGetsTypedErrorAndServiceKeepsServing) {
       {"{\"id\": 19, \"spec\": \"thick_cycle:groups=8,width=4\", "
        "\"algo\": \"batch-bfs\", \"sources\": 4096}",
        "bad-source", 19},
+      // wider than the 32-bit fields they fill
+      {"{\"id\": 20, \"spec\": \"thick_cycle:groups=8,width=4\", "
+       "\"algo\": \"bfs\", \"root\": 4294967301}",
+       "bad-source", 20},
+      {"{\"id\": 21, \"spec\": \"thick_cycle:groups=8,width=4\", "
+       "\"algo\": \"bfs\", \"stretch\": 4294967296}",
+       "bad-request", 21},
   };
 
   Service service(ServiceOptions{});

@@ -134,7 +134,7 @@ TEST(Telemetry, TotalsAgreeWithRunResultOnDifferentialGrid) {
 TEST(Telemetry, DenseRunsRecordWakeupsToo) {
   // Regression: run_handlers used to be called with record_wakeups=sparse,
   // so dense-engine runs silently dropped wakeup telemetry — the series'
-  // wakeups column was always 0 under --engine=dense while sparse runs
+  // wakeups column was always 0 under force_dense while sparse runs
   // reported real values, breaking dense-vs-sparse comparability. BatchBfs
   // drives real request_wakeup traffic (per-node FIFO backlogs); the two
   // engines must now report identical, nonzero wakeup columns.
